@@ -90,8 +90,8 @@ def main():
         traced = run_driver(build_dir, args, 1, deadline)
         runs = [untraced, traced]
         metrics = dict(traced["layer"])
-        base = untraced["e2e"]["states_per_s"]["value"]
-        overhead = (base - traced["e2e"]["states_per_s"]["value"]) / base if base > 0 else 0.0
+        base = untraced["layer"]["states_per_s"]["value"]
+        overhead = (base - traced["layer"]["states_per_s"]["value"]) / base if base > 0 else 0.0
         metrics["tracing.overhead_frac"] = {"value": overhead, "unit": "ratio"}
     print(json.dumps({
         "correct": all(run["correct"] for run in runs),
