@@ -6,8 +6,9 @@
 //                                 organically quarantined before timing
 //                                 (V = 0 / 10 / 100, i.e. 0% / 1% / 10%).
 //                                 The V=0 case is shaped exactly like
-//                                 bench_service_batch_ingest/1000/32: CI
-//                                 gates it within 5% of that run, which is
+//                                 bench_service_batch_ingest/1000/32 (both
+//                                 wall-clock, UseRealTime): CI gates it
+//                                 within 5% of that run, which is
 //                                 the fault-isolation overhead bound for a
 //                                 healthy fleet with injection compiled out.
 //                                 V>0 prices the quarantined slots: each one
@@ -134,7 +135,7 @@ void bench_service_degraded_mode(benchmark::State& state) {
 
 }  // namespace
 
-BENCHMARK(bench_service_fault_ingest)->Arg(0)->Arg(10)->Arg(100);
+BENCHMARK(bench_service_fault_ingest)->Arg(0)->Arg(10)->Arg(100)->UseRealTime();
 BENCHMARK(bench_service_degraded_mode)->Arg(0)->Arg(1);
 
 BENCHMARK_MAIN();

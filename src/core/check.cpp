@@ -22,7 +22,7 @@ bool check(const FormulaPtr& formula, const Trace& trace, const Env& env) {
   return holds(*formula, trace, env);
 }
 
-CheckResult check_spec_cached(const Spec& spec, const Trace& trace, const Env& env,
+CheckResult check_spec_cached(const Spec& spec, const TraceWindow& trace, const Env& env,
                               EvalCache* cache) {
   Evaluator ev(trace, cache);
   const Interval whole = Interval::make(0, Interval::INF);

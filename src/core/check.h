@@ -48,7 +48,7 @@ CheckResult check_spec(const Spec& spec, const Trace& trace, const Env& env = {}
 /// (may be null).  This is the single unit of work the batch engine
 /// (engine/engine.h) fans out: check_spec() and the engine's workers both
 /// run exactly this code, which is what keeps their results bit-identical.
-CheckResult check_spec_cached(const Spec& spec, const Trace& trace, const Env& env,
+CheckResult check_spec_cached(const Spec& spec, const TraceWindow& trace, const Env& env,
                               EvalCache* cache);
 
 }  // namespace il

@@ -9,11 +9,11 @@
 
 namespace il {
 
-IncrementalEvaluator::IncrementalEvaluator(const Trace& trace, ObligationGraph* graph,
+IncrementalEvaluator::IncrementalEvaluator(const TraceWindow& trace, ObligationGraph* graph,
                                            EvalCache* settled_cache)
     : IncrementalEvaluator(trace, graph, settled_cache, trace.last_index()) {}
 
-IncrementalEvaluator::IncrementalEvaluator(const Trace& trace, ObligationGraph* graph,
+IncrementalEvaluator::IncrementalEvaluator(const TraceWindow& trace, ObligationGraph* graph,
                                            EvalCache* settled_cache, std::uint64_t horizon)
     : trace_(trace),
       graph_(graph),

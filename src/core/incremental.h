@@ -11,8 +11,8 @@
 //     any interval: the answer reads only positions at or below the current
 //     horizon, which appends never change.  These queries run through a
 //     plain Evaluator backed by the monitor's settled EvalCache, keyed by
-//     the trace's *stable* lineage id: every entry is valid forever, so the
-//     cache is never evicted while the trace only grows.
+//     the window's *stable* lineage id: every entry is valid forever, so
+//     the cache is never evicted while the window only grows.
 //
 //   - OPEN WORLD — a suffix-sensitive node over <lo, inf>: the answer may
 //     change as states arrive.  Each such query is an obligation in the
@@ -50,7 +50,7 @@
 
 namespace il {
 
-/// Evaluator binding formulas to one *growing* trace.  All durable state
+/// Evaluator binding formulas to one *growing* trace window.  All durable state
 /// lives in the borrowed graph/cache, so the evaluator itself is a cheap
 /// stateless façade — the monitor constructs one per verdict.  Call
 /// ObligationGraph::begin_epoch() after each append, before re-reading
@@ -60,13 +60,15 @@ namespace il {
 class IncrementalEvaluator {
  public:
   /// `graph` and `settled_cache` are borrowed and must outlive the
-  /// evaluator.  Cache keys use trace.stable_id(): the owner must reset()
-  /// both stores if the trace is ever rewritten in place (see
-  /// Trace::rewrites()).
-  IncrementalEvaluator(const Trace& trace, ObligationGraph* graph, EvalCache* settled_cache);
+  /// evaluator.  Positions are window positions, and cache keys use the
+  /// window's stable_id(), which survives advances and rebasing — the two
+  /// ways a monitor's window changes, neither of which rewrites a position
+  /// it has read.
+  IncrementalEvaluator(const TraceWindow& trace, ObligationGraph* graph,
+                       EvalCache* settled_cache);
 
-  /// Virtual-horizon variant for batched epochs (Monitor::append_block):
-  /// evaluates as if the trace ended at index `horizon` (inclusive), which
+  /// Virtual-horizon variant for batched epochs (Monitor::advance):
+  /// evaluates as if the window ended at index `horizon` (inclusive), which
   /// must be <= trace.last_index().  Open-world scans stop there and open
   /// obligations record it, so a block of appends can run ONE
   /// begin_epoch() and still read every intermediate verdict bit-identical
@@ -75,8 +77,8 @@ class IncrementalEvaluator {
   /// closed-world delegate needs no override — settled results are
   /// horizon-invariant by construction (that is what lets the settled cache
   /// live forever under appends).
-  IncrementalEvaluator(const Trace& trace, ObligationGraph* graph, EvalCache* settled_cache,
-                       std::uint64_t horizon);
+  IncrementalEvaluator(const TraceWindow& trace, ObligationGraph* graph,
+                       EvalCache* settled_cache, std::uint64_t horizon);
 
   /// Whole-computation satisfaction (s<0,inf> |= formula) at the current
   /// trace length, re-settling only dirty obligations.
@@ -128,7 +130,7 @@ class IncrementalEvaluator {
                 ObligationGraph::Key& key);
   void add_horizon_dep(ObId attach);
 
-  const Trace& trace_;
+  const TraceWindow trace_;
   ObligationGraph* graph_;
   std::uint64_t horizon_;  ///< last visible index (== trace_.last_index() unless virtual)
   Evaluator delegate_;     ///< closed-world path, over the settled cache

@@ -8,9 +8,10 @@
 //
 //   - the AST node by hash-cons id (core/intern.h) — structurally identical
 //     subformulas built anywhere in the process share entries,
-//   - the trace by Trace::id() (caches outlive a single Evaluator: the
-//     engine keeps one per worker thread across a whole batch, and the id
-//     changes whenever a trace is mutated),
+//   - the trace window by TraceWindow::id() (caches outlive a single
+//     Evaluator: the engine keeps one per worker thread across a whole
+//     batch, and the id changes whenever a trace is mutated or a window
+//     advances),
 //   - the evaluation interval, search direction, and the meta-variable
 //     bindings the node can observe, as a short (meta id, value) span.
 //
@@ -44,7 +45,7 @@ class EvalCache {
 
   struct Key {
     std::uint32_t node = 0;   ///< hash-cons node id (Formula or Term)
-    std::uint32_t trace = 0;  ///< Trace::id()
+    std::uint32_t trace = 0;  ///< TraceWindow::id() (or the owner's override)
     std::uint64_t lo = 0;
     std::uint64_t hi = 0;
     Op op = Op::Sat;

@@ -13,15 +13,15 @@ std::string Interval::to_string() const {
   return "<" + std::to_string(lo) + "," + hi_s + ">";
 }
 
-Evaluator::Evaluator(const Trace& trace) : trace_(trace) {
+Evaluator::Evaluator(const TraceWindow& trace) : trace_(trace) {
   IL_REQUIRE(!trace.empty(), "evaluation requires a non-empty trace");
 }
 
-Evaluator::Evaluator(const Trace& trace, EvalCache* cache) : trace_(trace), cache_(cache) {
+Evaluator::Evaluator(const TraceWindow& trace, EvalCache* cache) : trace_(trace), cache_(cache) {
   IL_REQUIRE(!trace.empty(), "evaluation requires a non-empty trace");
 }
 
-Evaluator::Evaluator(const Trace& trace, EvalCache* cache, std::uint32_t cache_key_id)
+Evaluator::Evaluator(const TraceWindow& trace, EvalCache* cache, std::uint32_t cache_key_id)
     : trace_(trace), cache_(cache), key_override_(cache_key_id) {
   IL_REQUIRE(!trace.empty(), "evaluation requires a non-empty trace");
   IL_REQUIRE(cache_key_id != 0, "0 is reserved for 'use the live trace id'");
@@ -319,12 +319,12 @@ bool Evaluator::star_requirements(const Term& term, Interval ctx, Dir dir,
   IL_CHECK(false, "unreachable");
 }
 
-bool holds(const Formula& formula, const Trace& trace, const Env& env) {
+bool holds(const Formula& formula, const TraceWindow& trace, const Env& env) {
   Evaluator ev(trace);
   return ev.sat(formula, Interval::make(0, Interval::INF), env);
 }
 
-Interval locate(const Term& term, const Trace& trace, const Env& env) {
+Interval locate(const Term& term, const TraceWindow& trace, const Env& env) {
   Evaluator ev(trace);
   return ev.find(term, Interval::make(0, Interval::INF), Dir::Forward, env);
 }

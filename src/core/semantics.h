@@ -66,27 +66,28 @@ struct Interval {
 /// Direction of search for the F function.
 enum class Dir { Forward, Backward };
 
-/// Evaluator binding a formula language to one trace.
+/// Evaluator binding a formula language to one computation: a trace
+/// window (trace/trace.h; a whole Trace converts to one implicitly).
 ///
-/// The same instance may be reused for many formulas over the same trace;
-/// it is cheap to construct and holds only a reference (the trace must
-/// outlive the evaluator).
+/// The same instance may be reused for many formulas over the same window;
+/// it is cheap to construct and copies only the window handle (the trace
+/// behind it must outlive the evaluator).
 class Evaluator {
  public:
-  explicit Evaluator(const Trace& trace);
+  explicit Evaluator(const TraceWindow& trace);
 
   /// As above, but memoizing interval-construction and temporal-operator
   /// results in `cache` (not owned; may be shared across evaluators for the
-  /// same or different traces — keys carry the trace identity).  Results are
-  /// bit-identical to the uncached evaluator.
-  Evaluator(const Trace& trace, EvalCache* cache);
+  /// same or different windows — keys carry the window identity).  Results
+  /// are bit-identical to the uncached evaluator.
+  Evaluator(const TraceWindow& trace, EvalCache* cache);
 
-  /// As above, but cache keys carry `cache_key_id` instead of the live
-  /// trace id.  For owners that manage invalidation themselves: the
-  /// incremental monitor keys its settled-prefix cache by the trace's
-  /// *stable* lineage id, so entries survive appends (which only ever grow
-  /// the suffix) instead of being orphaned by every identity bump.
-  Evaluator(const Trace& trace, EvalCache* cache, std::uint32_t cache_key_id);
+  /// As above, but cache keys carry `cache_key_id` instead of the window's
+  /// id().  For owners that manage invalidation themselves: the incremental
+  /// monitor keys its settled-prefix cache by the window's *stable* lineage
+  /// id, so entries survive advances (which only ever grow the suffix)
+  /// instead of being orphaned by every identity bump.
+  Evaluator(const TraceWindow& trace, EvalCache* cache, std::uint32_t cache_key_id);
 
   /// s<i,j> |= a.  The interval must be non-null.
   bool sat(const Formula& formula, Interval iv, const Env& env) const;
@@ -115,20 +116,20 @@ class Evaluator {
   bool sat_uncached(const Formula& formula, Interval iv, const Env& env) const;
   Interval find_uncached(const Term& term, Interval ctx, Dir dir, const Env& env) const;
 
-  /// The trace identity for cache keys: the override when set, else the
-  /// live trace id (which mutation refreshes).
+  /// The window identity for cache keys: the override when set, else the
+  /// window's id() (which every advance refreshes).
   std::uint32_t cache_key_id() const;
 
-  const Trace& trace_;
+  const TraceWindow trace_;
   EvalCache* cache_ = nullptr;
   std::uint32_t key_override_ = 0;  ///< 0: use trace_.id() (ids start at 1)
 };
 
 /// Top-level satisfaction: the whole computation satisfies the formula
 /// (s<0,inf> |= a in the paper's notation, which writes it s<1,inf>).
-bool holds(const Formula& formula, const Trace& trace, const Env& env = {});
+bool holds(const Formula& formula, const TraceWindow& trace, const Env& env = {});
 
 /// Locates a term in the whole-computation context (diagnostic helper).
-Interval locate(const Term& term, const Trace& trace, const Env& env = {});
+Interval locate(const Term& term, const TraceWindow& trace, const Env& env = {});
 
 }  // namespace il

@@ -99,7 +99,8 @@ struct Options {
   /// mark-and-sweep GC (Monitor::gc_obligations), then a settled-parent
   /// compaction sweep, then demotion to Mode::Scratch (correct but slower,
   /// and with the stores freed), then quarantine — each transition counted
-  /// in ServiceStats and rendered by dump().
+  /// in ServiceStats and rendered by dump().  The stream stores the monitors
+  /// read are not charged (ServiceStats::totals.trace_bytes reports them).
   std::size_t obligation_byte_budget = 0;
 
   /// Automatic obligation-graph GC pacing, applied to every monitor the
@@ -141,7 +142,9 @@ struct CheckStats {
 
 /// Streaming-fleet counters (BatchMonitor, and per shard inside
 /// MonitorService): the monitors' settled caches summed into memo_*, their
-/// obligation graphs into obligation_*.
+/// obligation graphs into obligation_*.  Streams are not shard-owned, so a
+/// shard's trace_bytes is 0 and the service reports its stores in
+/// ServiceStats::totals.
 struct StreamStats {
   std::size_t monitors = 0;  ///< resident monitors
   std::size_t threads = 0;   ///< pool workers serving the fleet (0 = inline)
@@ -170,6 +173,9 @@ struct StreamStats {
   std::size_t gc_freed = 0;        ///< records freed (sweeps + orphan cascades)
   std::size_t gc_freed_bytes = 0;  ///< estimated bytes returned, lifetime
   std::size_t gc_orphans = 0;      ///< superseded records unlinked directly
+  /// Bytes of the stream traces the monitors read (Trace::bytes), counted
+  /// once per stream however many monitors read it (gauge).
+  std::size_t trace_bytes = 0;
 };
 
 class BatchChecker {

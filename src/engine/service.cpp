@@ -7,6 +7,7 @@
 
 #include "engine/introspect.h"
 #include "engine/pool.h"
+#include "engine/stream.h"
 #include "util/assert.h"
 #include "util/fault.h"
 
@@ -84,14 +85,11 @@ struct MonitorService::Shard {
   std::size_t axioms_checked = 0;
   std::size_t axioms_failed = 0;
 
-  // Lifetime cache/graph counters inherited from retired monitors, so the
-  // shard's hit/miss history is monotone while the resident entries
-  // (gauges) drop to zero with the retirement.
-  std::size_t retired_memo_hits = 0;
-  std::size_t retired_memo_misses = 0;
-  std::size_t retired_memo_inserts = 0;
-  std::size_t retired_obligation_dirtied = 0;
-  std::size_t retired_obligation_recomputed = 0;
+  // Lifetime cache/graph counters inherited from monitors that left
+  // (retired or quarantined; add_lifetime_counters), so the shard's
+  // lifetime totals are monotone while the resident entries (gauges) drop
+  // with the departure.  Only the lifetime fields are ever non-zero.
+  StreamStats departed;
 
   DecisionCache decisions;  ///< cross-batch cache for decide()
   std::size_t decision_jobs = 0;
@@ -332,10 +330,6 @@ void MonitorService::coordinator_loop() {
         apply_barrier(block.front());
       } else {
         run_epoch_batch(block);
-        std::lock_guard<std::mutex> lock(mu_);
-        states_applied_ += block.size();
-        ++epoch_batches_;
-        if (block.size() > states_per_batch_max_) states_per_batch_max_ = block.size();
       }
     } catch (const std::exception& e) {
       std::lock_guard<std::mutex> lock(mu_);
@@ -375,7 +369,10 @@ void MonitorService::apply_barrier(Command& cmd) {
     try {
       IL_FAULT_SCOPE(cmd.id);
       IL_INJECT_FAULT("service.register");
-      slot.monitor = std::make_unique<Monitor>(slot.spec, slot.env, slot.mode);
+      // The window starts at the stream store's end: the monitor observes
+      // exactly the states appended after this barrier.
+      slot.monitor = std::make_unique<Monitor>(slot.spec, slot.env, slot.mode,
+                                               stream_trace(slot.stream));
       slot.monitor->set_gc_fraction(options_.obligation_gc_fraction);
     } catch (...) {
       // Quarantined at birth: the spec failed to build.  The slot still
@@ -422,7 +419,10 @@ void MonitorService::apply_barrier(Command& cmd) {
           try {
             IL_FAULT_SCOPE(cmd.id);
             IL_INJECT_FAULT("service.register");
-            slot.monitor = std::make_unique<Monitor>(slot.spec, slot.env, slot.mode);
+            // A fresh window at the store's end: the rebuilt monitor reads
+            // only states appended after this barrier.
+            slot.monitor = std::make_unique<Monitor>(slot.spec, slot.env, slot.mode,
+                                                     stream_trace(slot.stream));
             slot.monitor->set_gc_fraction(options_.obligation_gc_fraction);
             slot.state = Shard::SlotState::Active;
             slot.fault = nullptr;
@@ -455,6 +455,7 @@ void MonitorService::apply_barrier(Command& cmd) {
   IL_CHECK(cmd.kind == Command::Kind::Retire);
   Shard& sh = *shards_[cmd.id % shards_.size()];
   bool found = false;
+  StreamId stream = kDefaultStream;
   {
     std::lock_guard<std::mutex> lock(sh.mu);
     auto it = std::lower_bound(
@@ -463,19 +464,11 @@ void MonitorService::apply_barrier(Command& cmd) {
     if (it != sh.monitors.end() && it->id == cmd.id &&
         it->state != Shard::SlotState::Retired) {
       found = true;
+      stream = it->stream;
       if (it->state == Shard::SlotState::Active) {
-        // Keep the lifetime counters monotone; the resident entries (the
-        // gauges) fall with the destruction, which is the point: retiring
-        // frees the monitor's obligations and settled-cache entries.
-        const EvalCache& c = it->monitor->cache();
-        sh.retired_memo_hits += c.hits();
-        sh.retired_memo_misses += c.misses();
-        sh.retired_memo_inserts += c.inserts();
-        const ObligationGraph& g = it->monitor->obligations();
-        sh.retired_obligation_dirtied += g.total_dirtied();
-        sh.retired_obligation_recomputed += g.recomputes();
-        it->monitor.reset();  // tombstone: ranks/lookups stay stable
-        --sh.live;
+        // Retiring frees the monitor's obligations and settled-cache
+        // entries; the slot stays as a tombstone so ranks/lookups are stable.
+        release_monitor_locked(sh, static_cast<std::size_t>(it - sh.monitors.begin()));
       } else {
         // Quarantined: stores already freed and counters already folded.
         --sh.quarantined;
@@ -497,6 +490,8 @@ void MonitorService::apply_barrier(Command& cmd) {
       }
     }
   }
+  // The monitor's window no longer pins the stream's store.
+  if (found) reclaim_stream(stream);
   std::lock_guard<std::mutex> lock(mu_);
   if (found) {
     ++retired_;
@@ -506,26 +501,62 @@ void MonitorService::apply_barrier(Command& cmd) {
   }
 }
 
+void MonitorService::release_monitor_locked(Shard& sh, std::size_t slot_index) {
+  Shard::Slot& slot = sh.monitors[slot_index];
+  // Lifetime counters stay monotone; the resident gauges drop with the
+  // freed stores, which is the point of leaving.
+  add_lifetime_counters(sh.departed, *slot.monitor);
+  slot.monitor.reset();  // frees the obligation graph and settled cache
+  --sh.live;
+}
+
 void MonitorService::quarantine_slot_locked(Shard& sh, std::size_t slot_index,
                                             std::exception_ptr fault) {
+  release_monitor_locked(sh, slot_index);  // the retire path's accounting
   Shard::Slot& slot = sh.monitors[slot_index];
-  // The retire path's accounting: lifetime counters stay monotone while the
-  // resident gauges drop with the freed stores.
-  const EvalCache& c = slot.monitor->cache();
-  sh.retired_memo_hits += c.hits();
-  sh.retired_memo_misses += c.misses();
-  sh.retired_memo_inserts += c.inserts();
-  const ObligationGraph& g = slot.monitor->obligations();
-  sh.retired_obligation_dirtied += g.total_dirtied();
-  sh.retired_obligation_recomputed += g.recomputes();
-  slot.monitor.reset();  // frees the obligation graph and settled cache
   slot.state = Shard::SlotState::Quarantined;
   slot.fault = std::move(fault);
   ++slot.faults;
   slot.states_since_fault = 0;
-  --sh.live;
   ++sh.quarantined;
   ++sh.quarantines;
+}
+
+Trace& MonitorService::stream_trace(StreamId stream) {
+  if (stream >= traces_.size()) traces_.resize(stream + 1);
+  if (traces_[stream] == nullptr) traces_[stream] = std::make_unique<Trace>();
+  return *traces_[stream];
+}
+
+void MonitorService::reclaim_stream(StreamId stream) {
+  if (stream >= traces_.size() || traces_[stream] == nullptr) return;
+  Trace& trace = *traces_[stream];
+  // The oldest resident reader bounds what can still be read: positions
+  // below its base are garbage.  Only the coordinator changes membership
+  // or windows, so the slots are read without the shard locks.
+  std::vector<Monitor*> readers;
+  std::size_t low = trace.size();
+  for (const auto& shp : shards_) {
+    for (Shard::Slot& slot : shp->monitors) {
+      if (slot.state != Shard::SlotState::Active || slot.stream != stream) continue;
+      readers.push_back(slot.monitor.get());
+      low = std::min(low, slot.monitor->base());
+    }
+  }
+  std::size_t bytes = 0;
+  if (readers.empty()) {
+    traces_[stream].reset();  // nobody reads the stream: store nothing
+  } else if (low > 0 && 2 * low >= trace.size()) {
+    // Amortized: the dead prefix is at least half the store, so the move
+    // is paid for by the appends that made it dead.
+    trace.drop_front(low);
+    for (Monitor* m : readers) m->rebase(low);
+    bytes = trace.bytes();
+  } else {
+    return;
+  }
+  std::lock_guard<std::mutex> lock(mu_);
+  streams_[stream].trace_bytes = bytes;
 }
 
 void MonitorService::run_epoch_batch(std::vector<Command>& block) {
@@ -548,11 +579,6 @@ void MonitorService::run_epoch_batch(std::vector<Command>& block) {
     positions[si].push_back(j);
     stream_of[j] = si;
   }
-  std::vector<std::vector<const State*>> sub_block(batch_streams.size());
-  for (std::size_t si = 0; si < batch_streams.size(); ++si) {
-    sub_block[si].reserve(positions[si].size());
-    for (const std::size_t j : positions[si]) sub_block[si].push_back(&block[j].state);
-  }
 
   // Membership snapshot and row-slot ranks.  Only the coordinator mutates
   // shard membership (Register/Retire are barriers applied on this thread),
@@ -572,6 +598,7 @@ void MonitorService::run_epoch_batch(std::vector<Command>& block) {
     std::size_t si;
   };
   std::vector<Candidate> candidates;
+  std::vector<std::size_t> readers(batch_streams.size(), 0);  ///< Active slots per stream
   for (std::size_t i = 0; i < shards_.size(); ++i) {
     const Shard& sh = *shards_[i];
     for (std::size_t k = 0; k < sh.monitors.size(); ++k) {
@@ -583,10 +610,21 @@ void MonitorService::run_epoch_batch(std::vector<Command>& block) {
       for (std::size_t si = 0; si < batch_streams.size(); ++si) {
         if (batch_streams[si] == slot.stream) {
           candidates.push_back(Candidate{slot.id, i, k, si});
+          if (slot.state == Shard::SlotState::Active) ++readers[si];
           break;
         }
       }
     }
+  }
+
+  // Store each state once, in its stream's trace, before the fan-out: the
+  // shard tasks only read the stores, so the read path takes no lock.  A
+  // stream nobody reads stores nothing (a later reader starts at the end
+  // anyway).
+  for (std::size_t si = 0; si < batch_streams.size(); ++si) {
+    if (readers[si] == 0) continue;
+    Trace& trace = stream_trace(batch_streams[si]);
+    for (const std::size_t j : positions[si]) trace.push(std::move(block[j].state));
   }
   std::sort(candidates.begin(), candidates.end(),
             [](const Candidate& a, const Candidate& b) { return a.id < b.id; });
@@ -621,6 +659,7 @@ void MonitorService::run_epoch_batch(std::vector<Command>& block) {
     std::exception_ptr fault;
   };
   std::vector<std::vector<FaultMark>> marks(dirty.size());
+  std::vector<char> departed(dirty.size(), 0);  ///< a monitor was quarantined
   const auto body = [&](std::size_t k) {
     Shard& sh = *shards_[dirty[k]];
     std::lock_guard<std::mutex> lock(sh.mu);
@@ -641,39 +680,41 @@ void MonitorService::run_epoch_batch(std::vector<Command>& block) {
     };
     for (const WorkItem& w : plan[dirty[k]]) {
       Shard::Slot& slot = sh.monitors[w.slot];
-      const std::vector<const State*>& states = sub_block[w.si];
+      const std::size_t count = positions[w.si].size();
       touched[w.si] = 1;
       if (slot.state == Shard::SlotState::Quarantined) {
         // The stream advances without the monitor: tick the backoff clock
         // and render the slot's rows as Faulted.
-        slot.states_since_fault += states.size();
-        emit_faulted(slot, w, states.size());
+        slot.states_since_fault += count;
+        emit_faulted(slot, w, count);
         continue;
       }
       column.clear();
-      column.resize(states.size());
+      column.resize(count);
       bool threw = false;
       {
         // Scope injected faults to this monitor's id, so a site armed with
         // key == MonitorId fires deterministically at any pool width.
         IL_FAULT_SCOPE(slot.id);
         try {
-          // The whole sub-block in one call: one begin_epoch() walk, one
+          // The whole sub-block in one call: the window grows over the
+          // states just stored, then one begin_epoch() walk, one
           // settled-cache pass, per-state verdicts at virtual horizons.
-          slot.monitor->append_block(states.data(), states.size(), column.data());
+          slot.monitor->advance(count, column.data());
         } catch (...) {
           // Per-monitor fault isolation: the throw stops at the epoch
           // boundary.  Free the stores, park the fault, render the whole
           // failing block Faulted — nobody else notices.
           threw = true;
           quarantine_slot_locked(sh, w.slot, std::current_exception());
+          departed[k] = 1;
         }
       }
       if (threw) {
-        emit_faulted(slot, w, states.size());
+        emit_faulted(slot, w, count);
         continue;
       }
-      for (std::size_t t = 0; t < states.size(); ++t) {
+      for (std::size_t t = 0; t < count; ++t) {
         sh.axioms_failed += column[t].failed.size();
         // In place: the slot was value-initialized by the row build, so
         // only id/result need stores and no temporary is built.
@@ -681,8 +722,8 @@ void MonitorService::run_epoch_batch(std::vector<Command>& block) {
         v.id = slot.id;
         v.result = std::move(column[t]);
       }
-      sh.axioms_checked += slot.monitor->spec().all().size() * states.size();
-      sh.verdicts += states.size();
+      sh.axioms_checked += slot.monitor->spec().all().size() * count;
+      sh.verdicts += count;
       // Staged degradation: one rung per epoch while the monitor's stores
       // exceed the byte budget — obligation GC, then compaction, then
       // Scratch demotion, then quarantine.  The rows of the epoch that
@@ -706,11 +747,12 @@ void MonitorService::run_epoch_batch(std::vector<Command>& block) {
                                  std::make_exception_ptr(std::runtime_error(
                                      "monitor exceeded obligation_byte_budget")));
           ++sh.budget_quarantines;
+          departed[k] = 1;
         }
       }
     }
     for (std::size_t si = 0; si < batch_streams.size(); ++si) {
-      if (touched[si]) sh.states += sub_block[si].size();
+      if (touched[si]) sh.states += positions[si].size();
     }
   };
   if (pool_ != nullptr && dirty.size() > 1) {
@@ -736,9 +778,27 @@ void MonitorService::run_epoch_batch(std::vector<Command>& block) {
     }
   }
 
-  std::lock_guard<std::mutex> lock(out_mu_);
-  rows_.reserve(rows_.size() + rows.size());
-  for (VerdictRow& row : rows) rows_.push_back(std::move(row));
+  // A quarantined monitor's window no longer pins its stream's store.
+  if (std::find(departed.begin(), departed.end(), 1) != departed.end()) {
+    for (const StreamId stream : batch_streams) reclaim_stream(stream);
+  }
+
+  {
+    std::lock_guard<std::mutex> lock(out_mu_);
+    rows_.reserve(rows_.size() + rows.size());
+    for (VerdictRow& row : rows) rows_.push_back(std::move(row));
+  }
+
+  std::lock_guard<std::mutex> lock(mu_);
+  for (std::size_t si = 0; si < batch_streams.size(); ++si) {
+    const StreamId stream = batch_streams[si];
+    if (readers[si] != 0 && traces_[stream] != nullptr) {
+      streams_[stream].trace_bytes = traces_[stream]->bytes();
+    }
+  }
+  states_applied_ += nstates;
+  ++epoch_batches_;
+  if (nstates > states_per_batch_max_) states_per_batch_max_ = nstates;
 }
 
 // ---------------------------------------------------------------------------
@@ -845,43 +905,15 @@ std::vector<DecisionResult> MonitorService::decide(const std::vector<DecisionJob
 // ---------------------------------------------------------------------------
 
 StreamStats MonitorService::shard_stats_locked(const Shard& sh) const {
-  StreamStats out;
+  StreamStats out = sh.departed;
   out.monitors = sh.live;
   out.threads = threads();
   out.states = sh.states;
   out.verdicts = sh.verdicts;
   out.axioms_checked = sh.axioms_checked;
   out.axioms_failed = sh.axioms_failed;
-  out.memo_hits = sh.retired_memo_hits;
-  out.memo_misses = sh.retired_memo_misses;
-  out.memo_inserts = sh.retired_memo_inserts;
-  out.obligation_dirtied = sh.retired_obligation_dirtied;
-  out.obligation_recomputed = sh.retired_obligation_recomputed;
   for (const Shard::Slot& slot : sh.monitors) {
-    if (slot.monitor == nullptr) continue;
-    const EvalCache& c = slot.monitor->cache();
-    out.memo_hits += c.hits();
-    out.memo_misses += c.misses();
-    out.memo_inserts += c.inserts();
-    out.memo_entries += c.size();
-    out.memo_bytes += c.bytes();
-    const ObligationGraph& g = slot.monitor->obligations();
-    out.obligation_entries += g.size();
-    out.obligation_settled += g.settled_count();
-    out.obligation_open += g.open_count();
-    out.obligation_edges += g.edges();
-    out.obligation_bytes += g.bytes();
-    out.obligation_dirtied += g.total_dirtied();
-    out.obligation_recomputed += g.recomputes();
-    out.obligation_index_nodes += g.index_nodes();
-    out.obligation_index_stabs += g.index_stabs();
-    out.obligation_index_visited += g.index_visited();
-    out.obligation_index_touched += g.touched_total();
-    out.gc_sweeps += g.gc_sweeps();
-    out.gc_marked += g.gc_marked();
-    out.gc_freed += g.gc_freed();
-    out.gc_freed_bytes += g.gc_freed_bytes();
-    out.gc_orphans += g.orphan_unlinks();
+    if (slot.monitor != nullptr) add_monitor_counters(out, *slot.monitor);
   }
   return out;
 }
@@ -903,8 +935,11 @@ ServiceStats MonitorService::stats() const {
     out.queue_capacity = options_.queue_capacity;
     out.queue_depth = queue_.size();
     out.queue_peak = queue_peak_;
+    out.stream_trace_bytes.reserve(streams_.size());
     for (const StreamInfo& stream : streams_) {
       out.states_ingested += static_cast<std::size_t>(stream.next_seq);
+      out.stream_trace_bytes.push_back(stream.trace_bytes);
+      out.totals.trace_bytes += stream.trace_bytes;
     }
     out.states_applied = static_cast<std::size_t>(states_applied_);
     out.epoch_batches = epoch_batches_;
@@ -996,6 +1031,10 @@ void MonitorService::dump(std::ostream& os) const {
   service.emit("budget_demotions", s.budget_demotions);
   service.emit("budget_quarantines", s.budget_quarantines);
   service.emit("decision_jobs", s.decision_jobs);
+  service.emit("trace_bytes", s.totals.trace_bytes);
+  for (std::size_t i = 0; i < s.stream_trace_bytes.size(); ++i) {
+    service.scoped("stream" + std::to_string(i)).emit("trace_bytes", s.stream_trace_bytes[i]);
+  }
   for (std::size_t i = 0; i < shards_.size(); ++i) dump_shard(i, os);
 }
 

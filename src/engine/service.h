@@ -22,33 +22,47 @@
 //   settled-cache entries.  Both are sequenced through the same command
 //   queue as appends, so a monitor observes exactly the states appended
 //   after its registration and before its retirement — the interleaving is
-//   the caller's call order, deterministically.  Retirement tombstones the
-//   monitor's shard slot; a shard whose tombstones exceed 1/4 of its slots
-//   is compacted (shardN.retired_compactions counts the sweeps), so a
-//   retire-heavy fleet does not leak slots.
+//   the caller's call order, deterministically.  A registered monitor is a
+//   stream monitor (core/monitor.h): it holds no states of its own, only a
+//   window over its stream's store that starts at the store's end at the
+//   Register barrier (reinstate() likewise takes a fresh window).
+//   Retirement tombstones the monitor's shard slot; a shard whose
+//   tombstones exceed 1/4 of its slots is compacted
+//   (shardN.retired_compactions counts the sweeps), so a retire-heavy fleet
+//   does not leak slots.
+//
+//   Storage — the coordinator owns one Trace per stream and moves each
+//   Append's state into it once, before the epoch fans out; shard tasks
+//   only read it, without a lock.  The store holds what resident monitors
+//   can still read: a stream with no Active monitor stores nothing, and
+//   when a monitor leaves (retire or quarantine) the prefix below the
+//   oldest remaining reader's window is dropped once it is at least half
+//   the store, so a rolling register/retire pattern never holds more than
+//   one copy of each readable state.  service.trace_bytes (dump()) and
+//   ServiceStats::totals.trace_bytes count the stores once per stream.
 //
 //   Evaluation — a coordinator thread drains the queue in *batched epochs*:
 //   it greedily folds consecutive queued Appends — any mix of streams, up
 //   to Options::max_epoch_batch — into one multi-state epoch; Register and
 //   Retire act as batch barriers (applied singly, so membership is fixed
-//   within a block).  The epoch fans one work item per *dirty* shard (a
-//   shard with no monitor on any of the block's streams is never touched)
-//   across a persistent *parked* worker pool (detail::ParkedPool,
-//   engine/pool.h), and each shard advances every subscribed monitor
-//   through its stream's whole sub-block in one Monitor::append_block call
-//   — one begin_epoch() invalidation walk and one settled-cache pass cover
-//   the block, which is what converts per-state coordinator overhead
-//   (wake + walk + drain x N) into per-batch overhead.
+//   within a block).  The epoch stores the block's states, then fans one
+//   work item per *dirty* shard (a shard with no monitor on any of the
+//   block's streams is never touched) across a persistent *parked* worker
+//   pool (detail::ParkedPool, engine/pool.h), and each shard advances every
+//   subscribed monitor's window over its stream's whole sub-block in one
+//   Monitor::advance call — one begin_epoch() invalidation walk and one
+//   settled-cache pass cover the block, which is what converts per-state
+//   coordinator overhead (wake + walk + drain x N) into per-batch overhead.
 //
 //   Verdicts — every appended state produces one VerdictRow (stream, seq,
 //   and the per-monitor verdicts of that stream, ordered by MonitorId) into
 //   an output buffer the caller drains.  Rows are ingest-ordered by
 //   construction and bit-identical for any thread/shard count AND any
-//   max_epoch_batch (monitors are share-nothing; blocked evaluation uses
-//   virtual horizons, pinned against per-state epochs by the differential
-//   suite in tests/test_service_batch.cpp).  Row slots are pre-assigned by
-//   rank before the fan-out, so shard tasks write disjoint slots and no
-//   post-epoch sort is needed.
+//   max_epoch_batch (monitors share only the read-only stores; blocked
+//   evaluation uses virtual horizons, pinned against per-state epochs by
+//   the differential suite in tests/test_service_batch.cpp).  Row slots
+//   are pre-assigned by rank before the fan-out, so shard tasks write
+//   disjoint slots and no post-epoch sort is needed.
 //
 //   Decisions — decide() serves decision batches through the same resident
 //   pool with per-shard cross-batch DecisionCaches (jobs shard by content
@@ -229,7 +243,12 @@ struct ServiceStats {
   std::size_t budget_demotions = 0;    ///< degradation rung 3: to Scratch
   std::size_t budget_quarantines = 0;  ///< degradation rung 4: quarantined
   std::size_t decision_jobs = 0;  ///< lifetime, via decide()
-  StreamStats totals;  ///< summed over shards
+  /// Summed over shards, plus trace_bytes summed over the stream stores.
+  /// The stores are not charged to Options::obligation_byte_budget nor to
+  /// any Monitor::footprint_bytes(): no degradation rung can shed a state
+  /// other monitors still read, so the ladder does not count them.
+  StreamStats totals;
+  std::vector<std::size_t> stream_trace_bytes;  ///< per stream, by StreamId
 };
 
 class MonitorService {
@@ -347,22 +366,38 @@ class MonitorService {
   struct StreamInfo {
     std::string name;
     std::uint64_t next_seq = 0;  ///< per-stream FIFO sequence
+    std::size_t trace_bytes = 0;  ///< the store's Trace::bytes(), set by the coordinator
   };
 
   void coordinator_loop();
   void apply_barrier(Command& cmd);  ///< Register / Retire / Reinstate
   void run_epoch_batch(std::vector<Command>& block);  ///< Appends only
   void enqueue(Command cmd);  ///< blocks on backpressure; throws if poisoned
-  /// Frees the faulting monitor in sh.monitors[slot_index], folds its
-  /// lifetime counters into the shard accumulators (the retire path's
-  /// accounting), and parks `fault` on the slot.  Caller holds sh.mu.
+  /// Folds the monitor in sh.monitors[slot_index] into the shard's
+  /// departed-lifetime accumulator and frees it: the one accounting path
+  /// for retire and quarantine.  Caller holds sh.mu.
+  void release_monitor_locked(Shard& sh, std::size_t slot_index);
+  /// Frees the faulting monitor in sh.monitors[slot_index] (the retire
+  /// path's accounting) and parks `fault` on the slot.  Caller holds sh.mu.
   void quarantine_slot_locked(Shard& sh, std::size_t slot_index,
                               std::exception_ptr fault);
+  /// The stream's store, created empty on first use.  Coordinator only.
+  Trace& stream_trace(StreamId stream);
+  /// After a reader left: drops the store of a stream nobody reads, or its
+  /// prefix below the oldest reader's base once that is at least half the
+  /// store (rebasing the readers), and republishes trace_bytes.
+  /// Coordinator only, between epochs.
+  void reclaim_stream(StreamId stream);
   StreamStats shard_stats_locked(const Shard& sh) const;  ///< caller holds sh.mu
 
   Options options_;
   std::size_t max_batch_ = 1;  ///< resolved Options::max_epoch_batch
   std::unique_ptr<detail::ParkedPool> pool_;  ///< null = single worker, inline epochs
+  /// One store per stream (by StreamId; null = nothing stored), owned and
+  /// written by the coordinator only.  Heap-held so monitors' windows stay
+  /// valid as the vector grows; declared before shards_ so the stores
+  /// outlive their readers.
+  std::vector<std::unique_ptr<Trace>> traces_;
   std::vector<std::unique_ptr<Shard>> shards_;
 
   mutable std::mutex mu_;  ///< queue + lifecycle state

@@ -8,11 +8,11 @@ namespace il {
 namespace engine {
 
 BatchMonitor::BatchMonitor(const std::vector<MonitorJob>& jobs, Options options)
-    : options_(options) {
+    : options_(options), trace_(std::make_unique<Trace>()) {
   monitors_.reserve(jobs.size());
   for (const MonitorJob& job : jobs) {
     IL_REQUIRE(job.spec != nullptr, "MonitorJob must bind a spec");
-    monitors_.emplace_back(*job.spec, job.env, job.mode);
+    monitors_.emplace_back(*job.spec, job.env, job.mode, *trace_);
     monitors_.back().set_gc_fraction(options_.obligation_gc_fraction);
   }
   verdicts_.resize(monitors_.size());
@@ -36,10 +36,11 @@ const std::vector<CheckResult>& BatchMonitor::feed(const State& s) {
   // of diverging quietly.
   IL_REQUIRE(!poisoned_, "a previous feed() threw mid-state; the fleet is torn");
   const std::size_t count = monitors_.size();
+  trace_->push(s);  // stored once, before the fan-out: workers only read it
   try {
     const auto one = [&](std::size_t i) {
       IL_FAULT_SCOPE(i);
-      verdicts_[i] = monitors_[i].append(s);
+      monitors_[i].advance(1, &verdicts_[i]);
     };
     if (pool_ == nullptr || count <= 1) {
       // Inline fast path: the sequential-equivalent case never touches the pool.
@@ -70,14 +71,13 @@ const std::vector<std::vector<CheckResult>>& BatchMonitor::feed_block(const Stat
   const std::size_t monitors = monitors_.size();
   block_.assign(count, std::vector<CheckResult>(monitors));
   if (count == 0) return block_;
-  std::vector<const State*> ptrs(count);
-  for (std::size_t k = 0; k < count; ++k) ptrs[k] = &states[k];
+  for (std::size_t k = 0; k < count; ++k) trace_->push(states[k]);
   // One column per monitor, written into the rows after the block lands —
-  // columns are monitor-private, so the pooled path stays share-nothing.
+  // columns are monitor-private, so the pooled path writes nothing shared.
   const auto column = [&](std::size_t i) {
     IL_FAULT_SCOPE(i);
     std::vector<CheckResult> col(count);
-    monitors_[i].append_block(ptrs.data(), count, col.data());
+    monitors_[i].advance(count, col.data());
     for (std::size_t k = 0; k < count; ++k) block_[k][i] = std::move(col[k]);
   };
   try {
@@ -109,31 +109,8 @@ const StreamStats& BatchMonitor::stream_stats() const {
   stream_stats_.verdicts = states_fed_ * monitors_.size();
   stream_stats_.axioms_checked = axioms_checked_;
   stream_stats_.axioms_failed = axioms_failed_;
-  for (const Monitor& m : monitors_) {
-    const EvalCache& c = m.cache();
-    stream_stats_.memo_hits += c.hits();
-    stream_stats_.memo_misses += c.misses();
-    stream_stats_.memo_inserts += c.inserts();
-    stream_stats_.memo_entries += c.size();
-    stream_stats_.memo_bytes += c.bytes();
-    const ObligationGraph& g = m.obligations();
-    stream_stats_.obligation_entries += g.size();
-    stream_stats_.obligation_settled += g.settled_count();
-    stream_stats_.obligation_open += g.open_count();
-    stream_stats_.obligation_edges += g.edges();
-    stream_stats_.obligation_bytes += g.bytes();
-    stream_stats_.obligation_dirtied += g.total_dirtied();
-    stream_stats_.obligation_recomputed += g.recomputes();
-    stream_stats_.obligation_index_nodes += g.index_nodes();
-    stream_stats_.obligation_index_stabs += g.index_stabs();
-    stream_stats_.obligation_index_visited += g.index_visited();
-    stream_stats_.obligation_index_touched += g.touched_total();
-    stream_stats_.gc_sweeps += g.gc_sweeps();
-    stream_stats_.gc_marked += g.gc_marked();
-    stream_stats_.gc_freed += g.gc_freed();
-    stream_stats_.gc_freed_bytes += g.gc_freed_bytes();
-    stream_stats_.gc_orphans += g.orphan_unlinks();
-  }
+  stream_stats_.trace_bytes = trace_->bytes();
+  for (const Monitor& m : monitors_) add_monitor_counters(stream_stats_, m);
   return stream_stats_;
 }
 
@@ -142,6 +119,38 @@ std::vector<MonitorJob> jobs_for_specs(const std::vector<Spec>& specs, const Env
   jobs.reserve(specs.size());
   for (const Spec& spec : specs) jobs.push_back(MonitorJob{&spec, env, Monitor::Mode::Incremental});
   return jobs;
+}
+
+void add_lifetime_counters(StreamStats& out, const Monitor& m) {
+  const EvalCache& c = m.cache();
+  out.memo_hits += c.hits();
+  out.memo_misses += c.misses();
+  out.memo_inserts += c.inserts();
+  const ObligationGraph& g = m.obligations();
+  out.obligation_dirtied += g.total_dirtied();
+  out.obligation_recomputed += g.recomputes();
+  out.obligation_index_stabs += g.index_stabs();
+  out.obligation_index_visited += g.index_visited();
+  out.obligation_index_touched += g.touched_total();
+  out.gc_sweeps += g.gc_sweeps();
+  out.gc_marked += g.gc_marked();
+  out.gc_freed += g.gc_freed();
+  out.gc_freed_bytes += g.gc_freed_bytes();
+  out.gc_orphans += g.orphan_unlinks();
+}
+
+void add_monitor_counters(StreamStats& out, const Monitor& m) {
+  add_lifetime_counters(out, m);
+  const EvalCache& c = m.cache();
+  out.memo_entries += c.size();
+  out.memo_bytes += c.bytes();
+  const ObligationGraph& g = m.obligations();
+  out.obligation_entries += g.size();
+  out.obligation_settled += g.settled_count();
+  out.obligation_open += g.open_count();
+  out.obligation_edges += g.edges();
+  out.obligation_bytes += g.bytes();
+  out.obligation_index_nodes += g.index_nodes();
 }
 
 }  // namespace engine

@@ -5,13 +5,16 @@
 // transpose: one live state stream, many subscribed specifications — the
 // per-session compliance monitors, SLO watchdogs, and protocol validators a
 // production system keeps current while the trace grows.  BatchMonitor
-// owns one incremental Monitor (core/monitor.h) per subscription and, on
-// every fed state, runs each monitor's append-delta pass across the shared
-// worker pool (engine/pool.h):
+// owns the stream's one Trace and one incremental Monitor (core/monitor.h)
+// per subscription; on every fed state it stores the state once, then runs
+// each monitor's append-delta pass — Monitor::advance over the shared
+// trace — across the worker pool (engine/pool.h):
 //
-//   - workers claim monitor indices from one atomic counter; monitors are
-//     share-nothing (each owns its trace copy, settled cache, and
-//     obligation graph), so there is no synchronization on the data path,
+//   - workers claim monitor indices from one atomic counter; the fed
+//     state is stored before the fan-out, so the trace is read-only while
+//     workers run, and everything a monitor writes (its window, settled
+//     cache, and obligation graph) is its own: there is no synchronization
+//     on the data path,
 //   - the pool is *persistent and parked* (detail::ParkedPool, engine/pool.h):
 //     workers are spawned once at construction and sleep on a condition
 //     variable between fed states, so a feed() is a wake + drain, not a
@@ -24,8 +27,9 @@
 //     failing monitor.
 //
 // Aggregate accounting lands in StreamStats (engine.h): memo_* sums the
-// monitors' settled caches, obligation_* their obligation graphs, and
-// states/verdicts count what flowed through.
+// monitors' settled caches, obligation_* their obligation graphs,
+// trace_bytes is the one shared trace, and states/verdicts count what
+// flowed through.
 #pragma once
 
 #include <cstddef>
@@ -108,6 +112,7 @@ class BatchMonitor {
 
  private:
   Options options_;
+  std::unique_ptr<Trace> trace_;  ///< heap: monitors' windows survive moves
   std::vector<Monitor> monitors_;
   std::vector<CheckResult> verdicts_;
   std::vector<std::vector<CheckResult>> block_;  ///< rows of the last feed_block()
@@ -121,6 +126,17 @@ class BatchMonitor {
 
 /// Builds the common "every spec watches the same stream" job list.
 std::vector<MonitorJob> jobs_for_specs(const std::vector<Spec>& specs, const Env& env = {});
+
+/// Adds `m`'s lifetime counters — memo hits/misses/inserts, obligation
+/// dirtied/recomputed, obligation_index stabs/visited/touched, and every
+/// gc_* counter — to `out`.  The one fold a retiring or quarantined monitor
+/// leaves in its owner's accumulator, so lifetime totals never go
+/// backwards when a monitor leaves.
+void add_lifetime_counters(StreamStats& out, const Monitor& m);
+
+/// Adds a resident monitor's counters to `out`: its gauges (resident memo
+/// and obligation entries, bytes, index nodes) plus add_lifetime_counters.
+void add_monitor_counters(StreamStats& out, const Monitor& m);
 
 }  // namespace engine
 }  // namespace il

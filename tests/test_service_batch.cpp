@@ -7,6 +7,15 @@
 // interleaved streams produce exactly their single-stream rows while their
 // states coalesce into shared batches; and tombstone compaction frees
 // retired slots once a shard passes the 1/4 retired fraction.
+//
+// The window suite pins the per-stream store: every monitor reads one
+// shared trace through its own window, and across batch sizes 1/7/32 x
+// shards 1/3 x pool widths 1/2/4 its rows stay bit-identical to a
+// standalone per-state Monitor fed the same states — for mid-stream
+// registration (a non-zero base), Scratch-mode slots, retire then
+// re-register, quarantine then reinstate, and the prefix drop that follows
+// the early monitors' retirement.  trace_bytes counts the store once per
+// stream, whatever the fleet size.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -355,6 +364,227 @@ TEST(ServiceBatch, RetireCompactsTombstonesPastQuarterFraction) {
   for (std::size_t j = 0; j < want.size(); ++j) {
     EXPECT_EQ(rows.back().verdicts[j].id, want[j]);
   }
+}
+
+/// A spec that throws organically once a boom=1 state is in its window:
+/// the implication short-circuits on every other state, and the unbound
+/// meta variable $unbound throws std::invalid_argument.
+Spec boom_spec() {
+  Spec s;
+  s.name = "boom";
+  s.axioms.push_back(Axiom{"no_boom", parse_formula("[] (boom = 1 -> $unbound > 0)")});
+  return s;
+}
+
+/// Verdicts of a standalone monitor fed states [from, to) of `run` one at
+/// a time — the reference every windowed service row must equal.
+std::vector<CheckResult> standalone(const Spec& spec, Monitor::Mode mode, const Trace& run,
+                                    std::size_t from, std::size_t to) {
+  Monitor m(spec, {}, mode);
+  std::vector<CheckResult> out;
+  for (std::size_t k = from; k < to; ++k) out.push_back(m.append(run.states()[k]));
+  return out;
+}
+
+void expect_same_result(const ServiceVerdict& got, const CheckResult& want,
+                        const std::string& label) {
+  EXPECT_EQ(got.result.ok, want.ok) << label;
+  EXPECT_EQ(got.result.failed, want.failed) << label;
+}
+
+TEST(ServiceBatch, WindowLifecyclesMatchStandaloneMonitors) {
+  const Spec spec = sys::mutex_spec(3);
+  const Spec boom = boom_spec();
+  constexpr std::size_t kBoom = 4;        // the victim throws here
+  constexpr std::size_t kJoin = 10;       // C (Incremental) and D (Scratch) register
+  constexpr std::size_t kLeave = 16;      // A, B, E retire: the prefix below kJoin is dead
+  constexpr std::size_t kReinstate = 20;  // the victim comes back with a fresh window
+  constexpr std::size_t kRejoin = 24;     // E's spec registers again
+  sys::MutexRunConfig mc;
+  mc.seed = 1;
+  mc.entries = 8;
+  std::vector<State> states = sys::run_mutex(mc).states();
+  ASSERT_GE(states.size(), kRejoin + 6);
+  states[kBoom].set("boom", 1);
+  const Trace run(std::move(states));
+  const std::size_t n = run.size();
+
+  using Mode = Monitor::Mode;
+  const std::vector<CheckResult> ref_a = standalone(spec, Mode::Incremental, run, 0, kLeave);
+  const std::vector<CheckResult> ref_b = standalone(spec, Mode::Scratch, run, 0, kLeave);
+  const std::vector<CheckResult> ref_v = standalone(boom, Mode::Incremental, run, 0, kBoom);
+  const std::vector<CheckResult> ref_v2 = standalone(boom, Mode::Incremental, run, kReinstate, n);
+  const std::vector<CheckResult> ref_c = standalone(spec, Mode::Incremental, run, kJoin, n);
+  const std::vector<CheckResult> ref_d = standalone(spec, Mode::Scratch, run, kJoin, n);
+  const std::vector<CheckResult> ref_e2 = standalone(spec, Mode::Incremental, run, kRejoin, n);
+
+  for (const std::size_t batch : {1u, 7u, 32u}) {
+    for (const std::size_t shards : {1u, 3u}) {
+      for (const std::size_t threads : {1u, 2u, 4u}) {
+        const std::string label = "batch " + std::to_string(batch) + " shards " +
+                                  std::to_string(shards) + " threads " +
+                                  std::to_string(threads);
+        Options opts;
+        opts.num_threads = threads;
+        opts.num_shards = shards;
+        opts.max_epoch_batch = batch;
+        opts.queue_capacity = 2 * n + 32;
+        MonitorService service(opts);
+        const StreamId stream = service.open_stream("windows");
+        const StreamId idle = service.open_stream("idle");  // appended to, never read
+        const auto feed = [&](std::size_t from, std::size_t to) {
+          for (std::size_t k = from; k < to; ++k) {
+            service.append(stream, run.states()[k]);
+            service.append(idle, run.states()[k]);
+          }
+        };
+
+        service.pause();
+        const MonitorId a = service.register_spec(stream, spec, {}, Mode::Incremental);
+        const MonitorId b = service.register_spec(stream, spec, {}, Mode::Scratch);
+        const MonitorId v = service.register_spec(stream, boom, {}, Mode::Incremental);
+        const MonitorId e = service.register_spec(stream, spec, {}, Mode::Incremental);
+        feed(0, kJoin);
+        const MonitorId c = service.register_spec(stream, spec, {}, Mode::Incremental);
+        const MonitorId d = service.register_spec(stream, spec, {}, Mode::Scratch);
+        feed(kJoin, kLeave);
+        service.resume();
+        service.flush();
+        const ServiceStats before = service.stats();
+        EXPECT_EQ(before.quarantines, 1u) << label;
+        EXPECT_GT(before.stream_trace_bytes[stream], 0u) << label;
+        EXPECT_EQ(before.stream_trace_bytes[idle], 0u) << label;
+
+        // The early monitors leave; C and D (base kJoin) are the oldest
+        // readers left, the dead prefix is kJoin >= half the store, and it
+        // is dropped.
+        service.pause();
+        service.retire(a);
+        service.retire(b);
+        service.retire(e);
+        service.resume();
+        service.flush();
+        const ServiceStats after = service.stats();
+        EXPECT_LT(after.stream_trace_bytes[stream], before.stream_trace_bytes[stream]) << label;
+        EXPECT_EQ(after.totals.trace_bytes, after.stream_trace_bytes[stream]) << label;
+
+        service.pause();
+        feed(kLeave, kReinstate);
+        service.reinstate(v);
+        feed(kReinstate, kRejoin);
+        const MonitorId e2 = service.register_spec(stream, spec, {}, Mode::Incremental);
+        feed(kRejoin, n);
+        service.resume();
+        service.flush();
+        EXPECT_EQ(service.stats().reinstates, 1u) << label;
+
+        std::vector<VerdictRow> rows;
+        for (VerdictRow& row : service.drain()) {
+          if (row.stream == stream) rows.push_back(std::move(row));
+        }
+        ASSERT_EQ(rows.size(), n) << label;
+        std::size_t first_faulted = n;
+        for (std::size_t k = 0; k < n; ++k) {
+          const VerdictRow& row = rows[k];
+          const std::string at = label + " seq " + std::to_string(k);
+          ASSERT_EQ(row.seq, k) << at;
+          std::vector<MonitorId> want;
+          if (k < kLeave) want = {a, b, v, e};
+          else want = {v};
+          if (k >= kJoin) {
+            want.push_back(c);
+            want.push_back(d);
+          }
+          if (k >= kRejoin) want.push_back(e2);
+          ASSERT_EQ(row.verdicts.size(), want.size()) << at;
+          for (std::size_t j = 0; j < want.size(); ++j) {
+            const MonitorId id = row.verdicts[j].id;
+            ASSERT_EQ(id, want[j]) << at;
+            if (id == v) {
+              // Faulted from the start of the block holding the boom state
+              // up to the reinstatement; the standalone verdicts elsewhere.
+              if (row.faulted_at(j)) {
+                first_faulted = std::min(first_faulted, k);
+                EXPECT_LT(k, kReinstate) << at;
+              } else if (k < kReinstate) {
+                EXPECT_LT(k, kBoom) << at;
+                EXPECT_EQ(first_faulted, n) << at;
+                expect_same_result(row.verdicts[j], ref_v[k], at);
+              } else {
+                expect_same_result(row.verdicts[j], ref_v2[k - kReinstate], at);
+              }
+              continue;
+            }
+            EXPECT_FALSE(row.faulted_at(j)) << at;
+            if (id == a) expect_same_result(row.verdicts[j], ref_a[k], at);
+            if (id == b) expect_same_result(row.verdicts[j], ref_b[k], at);
+            if (id == e) expect_same_result(row.verdicts[j], ref_a[k], at);
+            if (id == c) expect_same_result(row.verdicts[j], ref_c[k - kJoin], at);
+            if (id == d) expect_same_result(row.verdicts[j], ref_d[k - kJoin], at);
+            if (id == e2) expect_same_result(row.verdicts[j], ref_e2[k - kRejoin], at);
+          }
+        }
+        EXPECT_LE(first_faulted, kBoom) << label;
+        if (batch == 1) {
+          EXPECT_EQ(first_faulted, kBoom) << label;
+        }
+
+        // Once nobody reads the stream, it stores nothing.
+        for (const MonitorId id : {c, d, v, e2}) service.retire(id);
+        service.flush();
+        EXPECT_EQ(service.stats().stream_trace_bytes[stream], 0u) << label;
+        EXPECT_EQ(service.stats().totals.trace_bytes, 0u) << label;
+      }
+    }
+  }
+}
+
+TEST(ServiceBatch, TraceBytesCountTheStoreOncePerStream) {
+  const Spec spec = sys::mutex_spec(3);
+  sys::MutexRunConfig mc;
+  mc.entries = 4;
+  const Trace run = sys::run_mutex(mc);
+
+  const auto stream_bytes = [&](std::size_t monitors) {
+    Options opts;
+    opts.num_threads = 2;
+    opts.num_shards = 2;
+    MonitorService service(opts);
+    const StreamId watched = service.open_stream("watched");
+    const StreamId unread = service.open_stream("unread");
+    for (std::size_t i = 0; i < monitors; ++i) service.register_spec(watched, spec);
+    for (const State& s : run.states()) {
+      service.append(watched, s);
+      service.append(unread, s);
+    }
+    service.flush();
+    const ServiceStats stats = service.stats();
+    EXPECT_EQ(stats.stream_trace_bytes[unread], 0u) << monitors << " monitors";
+    EXPECT_EQ(stats.stream_trace_bytes[kDefaultStream], 0u) << monitors << " monitors";
+    EXPECT_EQ(stats.totals.trace_bytes, stats.stream_trace_bytes[watched]);
+    std::ostringstream os;
+    service.dump(os);
+    EXPECT_NE(os.str().find("service.trace_bytes " + std::to_string(stats.totals.trace_bytes) +
+                            "\n"),
+              std::string::npos);
+    EXPECT_NE(os.str().find("service.stream" + std::to_string(watched) + ".trace_bytes " +
+                            std::to_string(stats.stream_trace_bytes[watched]) + "\n"),
+              std::string::npos);
+    return stats.stream_trace_bytes[watched];
+  };
+  const std::size_t one = stream_bytes(1);
+  EXPECT_GE(one, run.size() * sizeof(State));
+  EXPECT_EQ(stream_bytes(16), one);
+
+  // BatchMonitor keeps one trace for its fleet too.
+  const std::vector<Spec> one_spec(1, spec);
+  const std::vector<Spec> sixteen(16, spec);
+  engine::BatchMonitor single(engine::jobs_for_specs(one_spec));
+  engine::BatchMonitor fleet(engine::jobs_for_specs(sixteen));
+  single.feed_all(run);
+  fleet.feed_all(run);
+  EXPECT_GT(single.stream_stats().trace_bytes, 0u);
+  EXPECT_EQ(fleet.stream_stats().trace_bytes, single.stream_stats().trace_bytes);
 }
 
 }  // namespace

@@ -19,6 +19,7 @@
 #include <random>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "il.h"
@@ -393,6 +394,82 @@ TEST(ServiceFault, DecideErrorsDoNotPoisonIngest) {
   service.flush();  // no deadlock, no poison
   EXPECT_FALSE(service.poisoned());
   EXPECT_EQ(service.drain().size(), run.size());
+}
+
+TEST(ServiceFault, LifetimeCountersAreMonotoneAcrossRetireQuarantineReinstate) {
+  // Every lifetime field of stats().totals; the gauges (resident entries,
+  // bytes, index nodes, monitors) legitimately fall when a monitor leaves.
+  const std::vector<std::pair<const char*, std::size_t StreamStats::*>> lifetime = {
+      {"states", &StreamStats::states},
+      {"verdicts", &StreamStats::verdicts},
+      {"axioms_checked", &StreamStats::axioms_checked},
+      {"axioms_failed", &StreamStats::axioms_failed},
+      {"memo_hits", &StreamStats::memo_hits},
+      {"memo_misses", &StreamStats::memo_misses},
+      {"memo_inserts", &StreamStats::memo_inserts},
+      {"obligation_dirtied", &StreamStats::obligation_dirtied},
+      {"obligation_recomputed", &StreamStats::obligation_recomputed},
+      {"obligation_index_stabs", &StreamStats::obligation_index_stabs},
+      {"obligation_index_visited", &StreamStats::obligation_index_visited},
+      {"obligation_index_touched", &StreamStats::obligation_index_touched},
+      {"gc_sweeps", &StreamStats::gc_sweeps},
+      {"gc_marked", &StreamStats::gc_marked},
+      {"gc_freed", &StreamStats::gc_freed},
+      {"gc_freed_bytes", &StreamStats::gc_freed_bytes},
+      {"gc_orphans", &StreamStats::gc_orphans},
+  };
+  constexpr std::size_t kBoom = 30;
+  const Trace trace = boom_trace(kBoom, 10);
+  ASSERT_GT(trace.size(), kBoom + 12);
+
+  Options opts;
+  opts.num_threads = 2;
+  opts.num_shards = 2;
+  opts.max_epoch_batch = 4;
+  opts.obligation_gc_fraction = 0.05;  // sweep often, so departures carry gc counts
+  MonitorService service(opts);
+  const MonitorId first = service.register_spec(sys::mutex_spec(3));
+  service.register_spec(sys::mutex_spec(3));
+  const MonitorId victim = service.register_spec(boom_spec());
+  service.register_spec(sys::mutex_spec(3), {}, Monitor::Mode::Scratch);
+
+  StreamStats last = service.stats().totals;
+  const auto expect_monotone = [&](const std::string& step) {
+    const StreamStats now = service.stats().totals;
+    for (const auto& [name, field] : lifetime) {
+      EXPECT_GE(now.*field, last.*field) << name << " went backwards on " << step;
+    }
+    last = now;
+  };
+  const auto feed = [&](std::size_t from, std::size_t to) {
+    for (std::size_t k = from; k < to; ++k) service.append(trace.states()[k]);
+    service.flush();
+  };
+
+  feed(0, kBoom);
+  expect_monotone("append");
+  // The departing monitors have real history in every counter family.
+  EXPECT_GT(last.obligation_index_stabs, 0u);
+  EXPECT_GT(last.gc_sweeps, 0u);
+  EXPECT_GT(last.gc_freed, 0u);
+  EXPECT_GT(last.memo_hits, 0u);
+
+  service.retire(first);
+  service.flush();
+  expect_monotone("retire");
+
+  feed(kBoom, kBoom + 4);
+  EXPECT_EQ(service.stats().quarantines, 1u);
+  expect_monotone("quarantine");
+
+  feed(kBoom + 4, kBoom + 5);  // sits out the one-state backoff
+  service.reinstate(victim);
+  service.flush();
+  EXPECT_EQ(service.stats().reinstates, 1u);
+  expect_monotone("reinstate");
+
+  feed(kBoom + 5, trace.size());
+  expect_monotone("append after reinstate");
 }
 
 #ifdef IL_FAULT_INJECTION
