@@ -144,7 +144,7 @@ void bench_service_resident_fleet(benchmark::State& state) {
 
 /// A 32-state burst through a resident fleet at a fixed epoch-batch bound.
 /// The burst is enqueued while the coordinator is paused, so the B=32 run
-/// folds it into one epoch (one pool wake, one begin_epoch() walk per
+/// folds it into one epoch (one pool wake, one begin_epoch() pass per
 /// monitor) while the B=1 run pays the full per-state epoch loop — the
 /// states/s ratio is exactly what Options::max_epoch_batch buys.
 void bench_service_batch_ingest(benchmark::State& state) {

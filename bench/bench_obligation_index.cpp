@@ -1,23 +1,16 @@
 // E14 — interval-indexed epoch invalidation: steady-state append cost of
-// the stabbing-query obligation graph against the legacy reverse walk, as
-// the resident trace (and with it the obligation population) grows.
+// the stabbing-query obligation graph as the resident trace (and with it
+// the obligation population) grows.
 //
-//   bench_obligation_index_append     indexed invalidation, one append+verdict
-//                                     at steady state, trace lengths 1e2..1e5
-//   bench_obligation_reverse_walk     the same workload with
-//                                     Invalidation::ReverseWalk (the pre-index
-//                                     pass that touches every open record's
-//                                     reverse closure per epoch)
-//   bench_obligation_event_search     long-trace relocating event search: the
-//                                     incremental frontier resume against the
-//                                     legacy full re-scan of [lo, horizon]
+//   bench_obligation_index_append     one append+verdict at steady state,
+//                                     trace lengths 1e2..1e5
+//   bench_obligation_event_search     long-trace backward event search: the
+//                                     incremental settled-prefix resume
 //
-// CI asserts from the emitted JSON that the indexed append time stays flat
-// (<= 1.25x from 1e3 to 1e5), beats the reverse walk >= 5x at 1e5, and that
-// the per-epoch seed count (obligation_touched on the indexed 2e4 case)
-// stays far below the entry count an unindexed graph carries for the same
-// stream (obligation_entries on the reverse-walk cases, which reclaim
-// nothing) — while the indexed graph's own resident count stays tiny.
+// CI asserts from the emitted JSON that the append time stays flat
+// (<= 1.25x from 1e3 to 1e5), that an epoch seeds at most 8 obligations
+// on average (obligation_touched on the 2e4 case), and that the graph's
+// resident count stays tiny (obligation_entries <= 64).
 #include <benchmark/benchmark.h>
 
 #include <cstddef>
@@ -52,25 +45,24 @@ State pulse_state(std::size_t k) {
   return s;
 }
 
-/// Builds the untimed prefix that puts `m` at steady state at trace length
-/// `n`.  The indexed arm appends with a verdict per state — its per-append
-/// cost is flat, so the prefix is O(n) total, and the epoch-by-epoch path
-/// keeps the record pool tiny (superseded and settled-child records are
-/// freed as it goes and their slots reused).  The reverse-walk arm would
-/// pay O(n^2) for the same prefix (each epoch touches the whole open
-/// population), so it observes the states and pays the one cold verdict
-/// that expands the graph in a single pass instead — from there both arms
-/// sit at their own steady state and the timed appends measure it.
-std::size_t build_prefix(Monitor& m, std::size_t n, ObligationGraph::Invalidation mode,
-                         State (*make)(std::size_t)) {
-  std::size_t k = 0;
-  if (mode == ObligationGraph::Invalidation::Indexed) {
-    for (; k < n; ++k) m.append(make(k));
-  } else {
-    for (; k < n; ++k) m.observe(make(k));
-    benchmark::DoNotOptimize(m.current());
-  }
-  return k;
+/// Puts `m` at steady state at trace length `n`, untimed: a verdict per
+/// state costs O(1), so the prefix is O(n) total, and the epoch-by-epoch
+/// path keeps the record pool tiny (superseded and settled-child records
+/// are freed as it goes and their slots reused).
+void build_prefix(Monitor& m, std::size_t n) {
+  for (std::size_t k = 0; k < n; ++k) m.append(pulse_state(k));
+}
+
+/// Long-trace *backward* event search (the fwd path is what index_spec
+/// exercises): a suffix-sensitive `<-` search never settles, so each epoch
+/// extends its settled prefix bottom-up and re-scans only above it.
+Spec bwd_spec() {
+  Spec spec;
+  spec.name = "bwd";
+  spec.axioms.push_back(
+      {"latest", f::interval(t::bwd(t::event(f::always(f::atom("q"))), nullptr),
+                             f::eventually(f::atom("r")))});
+  return spec;
 }
 
 /// One append+verdict at steady state at trace length N.  The timed region
@@ -78,15 +70,14 @@ std::size_t build_prefix(Monitor& m, std::size_t n, ObligationGraph::Invalidatio
 /// items_per_second.  The iteration count is pinned (and the trace
 /// pre-reserved) so every iteration runs at the same trace length
 /// regardless of timer resolution.
-void steady_state_append(benchmark::State& state, ObligationGraph::Invalidation mode) {
+void steady_state_append(benchmark::State& state, const Spec& spec) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   constexpr std::size_t kBlock = 16;
-  const Spec spec = index_spec();
   Monitor m(spec);
-  m.set_invalidation(mode);
   m.set_gc_fraction(0.0);  // measure the invalidation pass, not the sweeper
   m.reserve(n + kBlock * (state.max_iterations + 1));
-  std::size_t k = build_prefix(m, n, mode, pulse_state);
+  build_prefix(m, n);
+  std::size_t k = n;
   std::size_t failed = 0;
   for (auto _ : state) {
     for (std::size_t j = 0; j < kBlock; ++j, ++k) {
@@ -104,60 +95,17 @@ void steady_state_append(benchmark::State& state, ObligationGraph::Invalidation 
 }
 
 void bench_obligation_index_append(benchmark::State& state) {
-  steady_state_append(state, ObligationGraph::Invalidation::Indexed);
-}
-
-void bench_obligation_reverse_walk(benchmark::State& state) {
-  steady_state_append(state, ObligationGraph::Invalidation::ReverseWalk);
-}
-
-/// Long-trace *backward* event search (the fwd path is what
-/// steady_state_append exercises): a suffix-sensitive `<-` search never
-/// settles, so the legacy path re-scans the whole open region every epoch
-/// while the indexed path extends its settled prefix bottom-up and
-/// re-scans only above it.  The first verdict at trace length N pays the
-/// whole scan either way; the timed region is the appends after it.
-Spec bwd_spec() {
-  Spec spec;
-  spec.name = "bwd";
-  spec.axioms.push_back(
-      {"latest", f::interval(t::bwd(t::event(f::always(f::atom("q"))), nullptr),
-                             f::eventually(f::atom("r")))});
-  return spec;
-}
-
-void event_search_tail(benchmark::State& state, ObligationGraph::Invalidation mode) {
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  constexpr std::size_t kBlock = 16;
-  const Spec spec = bwd_spec();
-  Monitor m(spec);
-  m.set_invalidation(mode);
-  m.set_gc_fraction(0.0);
-  m.reserve(n + kBlock * (state.max_iterations + 1));
-  std::size_t k = build_prefix(m, n, mode, pulse_state);
-  std::size_t failed = 0;
-  for (auto _ : state) {
-    for (std::size_t j = 0; j < kBlock; ++j, ++k) {
-      failed += m.append(pulse_state(k)).failed.size();
-    }
-    benchmark::DoNotOptimize(failed);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * kBlock));
+  steady_state_append(state, index_spec());
 }
 
 void bench_obligation_event_search(benchmark::State& state) {
-  event_search_tail(state, ObligationGraph::Invalidation::Indexed);
-}
-
-void bench_obligation_event_search_rescan(benchmark::State& state) {
-  event_search_tail(state, ObligationGraph::Invalidation::ReverseWalk);
+  steady_state_append(state, bwd_spec());
 }
 
 }  // namespace
 
 // Pinned iteration counts keep every timed append at the intended trace
-// length (see steady_state_append); the legacy walk gets fewer iterations
-// because each one is O(trace) at the top end.
+// length (see steady_state_append).
 BENCHMARK(bench_obligation_index_append)
     ->Arg(100)
     ->Arg(1000)
@@ -166,17 +114,6 @@ BENCHMARK(bench_obligation_index_append)
     ->Arg(100000)
     ->Iterations(1024)
     ->Unit(benchmark::kMicrosecond);
-BENCHMARK(bench_obligation_reverse_walk)
-    ->Arg(100)
-    ->Arg(1000)
-    ->Arg(10000)
-    ->Arg(100000)
-    ->Iterations(64)
-    ->Unit(benchmark::kMicrosecond);
 BENCHMARK(bench_obligation_event_search)->Arg(20000)->Iterations(256)->Unit(benchmark::kMicrosecond);
-BENCHMARK(bench_obligation_event_search_rescan)
-    ->Arg(20000)
-    ->Iterations(64)
-    ->Unit(benchmark::kMicrosecond);
 
 BENCHMARK_MAIN();

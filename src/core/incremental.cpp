@@ -39,12 +39,6 @@ bool IncrementalEvaluator::make_key(std::uint32_t node, ObligationGraph::Op op,
   return restrict_env_span(metas, env, key.n_env, key.metas, key.values);
 }
 
-void IncrementalEvaluator::add_horizon_dep(ObId attach) {
-  // Indexed mode registers the sensitivity window [key.lo, inf) in the
-  // interval tree; ReverseWalk adds the legacy kHorizon edge.
-  graph_->touch_horizon(attach);
-}
-
 // ---------------------------------------------------------------------------
 // Dispatch: closed world -> delegate; open world -> obligation record.
 // ---------------------------------------------------------------------------
@@ -234,7 +228,7 @@ IncrementalEvaluator::Val IncrementalEvaluator::sat_compute(const Formula& f,
       const Val s = stars_inc(*f.term(), iv, Dir::Forward, env, attach);
       if (!s.value) return {false, s.settled};
       const Found fnd = find_inc(*f.term(), iv, Dir::Forward, env, attach);
-      if (self != kNoOb && graph_->indexed()) {
+      if (self != kNoOb) {
         // Orphan fix: when the find relocates, the body obligation the
         // previous recomputation attached (recorded in aux_lo) is superseded
         // — unlink it now so the record is reclaimed instead of lingering
@@ -303,7 +297,7 @@ IncrementalEvaluator::Val IncrementalEvaluator::always_compute(const Formula& f,
                                                                ObId self) {
   // <lo,inf> |= []a  iff  forall k in [lo, horizon] : <k,inf> |= a.  The
   // horizon grows with every append, so the obligation always reads it.
-  add_horizon_dep(attach);
+  graph_->touch_horizon(attach);
   const std::uint64_t h = horizon_;
   std::uint64_t frontier = lo;
   std::vector<std::uint64_t> opens;
@@ -365,7 +359,7 @@ IncrementalEvaluator::Val IncrementalEvaluator::eventually_compute(const Formula
   // Dual of always_compute: <> settles true on a settled witness, stays
   // open while false (a witness may yet arrive), and rechecks only the
   // positions whose body verdict is still in flux.
-  add_horizon_dep(attach);
+  graph_->touch_horizon(attach);
   const std::uint64_t h = horizon_;
   std::uint64_t frontier = lo;
   std::vector<std::uint64_t> opens;
@@ -491,14 +485,15 @@ IncrementalEvaluator::Found IncrementalEvaluator::find_event_fwd(const Term& t,
   // min changeset(a, <lo,inf>): the first k with <k-1,inf> |/= a and
   // <k,inf> |= a.  The scan is horizon-bounded either way; what the record
   // buys depends on the defining formula:
-  add_horizon_dep(attach);
+  graph_->touch_horizon(attach);
   const Formula& defining = *t.event();
   const std::uint64_t h = horizon_;
   const std::uint64_t first_k = lo + 1;
 
   if (defining.suffix_sensitive()) {
-    if (!graph_->indexed() || self == kNoOb) {
-      // Probes themselves can flip as the trace grows, so the first change
+    if (self == kNoOb) {
+      // No record to resume from (the bindings overflowed the key), and
+      // probes themselves can flip as the trace grows, so the first change
       // can *move*: rescan the whole context each epoch (probes recurse
       // open-world and are themselves incremental).  Settled only when every
       // probe up to the found change is.
@@ -597,13 +592,13 @@ IncrementalEvaluator::Found IncrementalEvaluator::find_event_bwd(const Term& t,
   // max changeset(a, <lo,inf>).  A later append can always introduce a
   // *later* change that supersedes the current maximum, so a backward
   // search over an open context never settles.
-  add_horizon_dep(attach);
+  graph_->touch_horizon(attach);
   const Formula& defining = *t.event();
   const std::uint64_t h = horizon_;
   const std::uint64_t first_k = lo + 1;
 
   if (defining.suffix_sensitive()) {
-    if (!graph_->indexed() || self == kNoOb) {
+    if (self == kNoOb) {
       // As in the forward case: probes can flip, rescan the whole context.
       if (first_k > h) return {Interval::none(), false};
       Val at_k = probe(defining, h, env, attach);

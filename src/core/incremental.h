@@ -128,7 +128,6 @@ class IncrementalEvaluator {
   bool make_key(std::uint32_t node, ObligationGraph::Op op, std::uint64_t lo,
                 const std::vector<std::uint32_t>& metas, const Env& env,
                 ObligationGraph::Key& key);
-  void add_horizon_dep(ObId attach);
 
   const TraceWindow trace_;
   ObligationGraph* graph_;

@@ -275,13 +275,6 @@ void IntervalIndex::clear() {
 // ObligationGraph
 // ---------------------------------------------------------------------------
 
-ObligationGraph::ObligationGraph() {
-  // Slot 0 is the horizon sentinel: permanently open, never recomputed, the
-  // root of the invalidation walk.
-  obligations_.emplace_back();
-  reverse_.emplace_back();
-}
-
 std::size_t ObligationGraph::KeyHash::operator()(const Key& k) const {
   std::uint64_t h = mix64((static_cast<std::uint64_t>(k.node) << 8) |
                           static_cast<std::uint64_t>(k.op));
@@ -291,12 +284,6 @@ std::size_t ObligationGraph::KeyHash::operator()(const Key& k) const {
                static_cast<std::uint64_t>(k.values[i]));
   }
   return static_cast<std::size_t>(h);
-}
-
-void ObligationGraph::set_invalidation(Invalidation mode) {
-  IL_REQUIRE(size() == 0 && epoch_ == 0,
-             "invalidation mode must be chosen before the graph is populated");
-  invalidation_ = mode;
 }
 
 void ObligationGraph::seed_and_close(std::vector<ObId>& stack) {
@@ -335,11 +322,6 @@ void ObligationGraph::begin_epoch(std::uint64_t horizon) {
   }
   last_dirtied_ = 0;
   walk_stack_.clear();
-  if (invalidation_ == Invalidation::ReverseWalk) {
-    walk_stack_.push_back(kHorizon);
-    seed_and_close(walk_stack_);
-    return;
-  }
   // The stabbing query: exactly the open obligations whose sensitivity
   // window [lo, inf) contains the new horizon, in O(log n + touched) node
   // visits.  They seed the dirty closure; everything else is untouched.
@@ -383,10 +365,6 @@ ObligationGraph::ObId ObligationGraph::obtain(const Key& key) {
 
 void ObligationGraph::touch_horizon(ObId attach) {
   if (attach == kNoOb) return;
-  if (invalidation_ == Invalidation::ReverseWalk) {
-    add_dep(attach, kHorizon);
-    return;
-  }
   Obligation& ob = obligations_[attach];
   if (ob.in_tree || ob.settled) return;
   // Once is enough: the window [key.lo, inf) contains every later horizon,
@@ -415,7 +393,7 @@ void ObligationGraph::erase_from(std::vector<ObId>& v, ObId id) {
 }
 
 void ObligationGraph::begin_recompute(ObId self) {
-  if (invalidation_ != Invalidation::Indexed || self == kNoOb) return;
+  if (self == kNoOb) return;
   Obligation& ob = obligations_[self];
   if (ob.deps.empty()) return;
   // Phase 1: compact the dependency list (a settled child can never dirty
@@ -424,7 +402,7 @@ void ObligationGraph::begin_recompute(ObId self) {
   prune_scratch_.clear();
   std::size_t w = 0;
   for (const ObId d : ob.deps) {
-    if (d != kHorizon && !obligations_[d].freed && obligations_[d].settled) {
+    if (!obligations_[d].freed && obligations_[d].settled) {
       edge_set_.erase(pack_edge(self, d));
       erase_from(reverse_[d], self);
       prune_scratch_.push_back(d);
@@ -450,7 +428,7 @@ void ObligationGraph::mark_root(ObId id) {
 
 void ObligationGraph::free_record(ObId id) {
   Obligation& ob = obligations_[id];
-  IL_CHECK(!ob.freed && !ob.is_root && id != kHorizon);
+  IL_CHECK(!ob.freed && !ob.is_root);
   // Account what the allocator gets back (the slot itself stays resident,
   // queued for reuse).
   gc_freed_bytes_ += ob.open_positions.capacity() * sizeof(std::uint64_t) +
@@ -486,7 +464,7 @@ void ObligationGraph::free_record(ObId id) {
 }
 
 void ObligationGraph::maybe_cascade_free(ObId id) {
-  if (id == kHorizon || id == kNoOb) return;
+  if (id == kNoOb) return;
   Obligation& ob = obligations_[id];
   if (ob.freed || ob.is_root || !reverse_[id].empty()) return;
   free_record(id);
@@ -541,7 +519,6 @@ std::size_t ObligationGraph::gc_sweep() {
     const Obligation& ob = obligations_[id];
     if (ob.settled) continue;
     for (const ObId d : ob.deps) {
-      if (d == kHorizon) continue;
       Obligation& child = obligations_[d];
       if (child.freed || child.gc_mark == gc_stamp_) continue;
       child.gc_mark = gc_stamp_;
@@ -554,7 +531,7 @@ std::size_t ObligationGraph::gc_sweep() {
   // records that are themselves unmarked (a marked record either carries
   // the root flag or keeps an edge from a marked open parent).
   const std::size_t freed_before = gc_freed_;
-  for (ObId id = 1; id < static_cast<ObId>(obligations_.size()); ++id) {
+  for (ObId id = 0; id < static_cast<ObId>(obligations_.size()); ++id) {
     Obligation& ob = obligations_[id];
     if (ob.freed || ob.gc_mark == gc_stamp_) continue;
     free_record(id);
@@ -584,50 +561,7 @@ void ObligationGraph::reset() {
   walk_stack_.clear();
   freed_count_ = 0;
   last_gc_live_ = 0;
-  obligations_.emplace_back();
-  reverse_.emplace_back();
   last_dirtied_ = 0;
-}
-
-std::size_t ObligationGraph::compact_settled() {
-  ++compactions_;
-  std::size_t swept = 0;
-  for (std::size_t i = 1; i < obligations_.size(); ++i) {
-    Obligation& ob = obligations_[i];
-    if (!ob.settled) continue;
-    ++swept;
-    // The resume state of a settled obligation can never be read again:
-    // recomputation is what reads it, and settlement is permanent.
-    std::vector<std::uint64_t>().swap(ob.open_positions);
-    std::vector<ObId>().swap(ob.deps);
-    // Nor can its reverse list: the invalidation walk only reads the
-    // reverse list of a node it just dirtied, and settled nodes are never
-    // dirtied.
-    std::vector<ObId>().swap(reverse_[i]);
-  }
-  // Prune the reverse index the same way begin_epoch() does lazily, but
-  // everywhere at once, and shed the matching edge-set records (add_dep may
-  // re-insert an edge from a live parent to a settled child later; that
-  // costs one re-insert and stays unreachable, which is fine).
-  for (std::size_t child = 0; child < reverse_.size(); ++child) {
-    std::vector<ObId>& parents = reverse_[child];
-    std::size_t w = 0;
-    for (const ObId parent : parents) {
-      if (!obligations_[parent].settled) parents[w++] = parent;
-    }
-    parents.resize(w);
-    parents.shrink_to_fit();
-  }
-  for (auto it = edge_set_.begin(); it != edge_set_.end();) {
-    const ObId parent = static_cast<ObId>(*it >> 32);
-    const ObId child = static_cast<ObId>(*it & 0xffffffffu);
-    if (obligations_[parent].settled || obligations_[child].settled) {
-      it = edge_set_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  return swept;
 }
 
 std::size_t ObligationGraph::bytes() const {
@@ -653,7 +587,7 @@ std::size_t ObligationGraph::bytes() const {
 
 std::size_t ObligationGraph::settled_count() const {
   std::size_t n = 0;
-  for (std::size_t i = 1; i < obligations_.size(); ++i) n += obligations_[i].settled ? 1 : 0;
+  for (const Obligation& ob : obligations_) n += ob.settled ? 1 : 0;
   return n;
 }
 

@@ -113,19 +113,6 @@ class EvalCache {
   /// kMaxEnv and the query bypasses the cache.
   void note_env_overflow() { ++env_overflows_; }
 
-  /// Counter-export hook for the introspection surface
-  /// (engine/introspect.h): calls fn(name, value) for every counter.
-  /// `entries` is a gauge (resident now); the rest are lifetime counters.
-  template <typename Fn>
-  void for_each_counter(Fn&& fn) const {
-    fn("hits", static_cast<std::uint64_t>(hits_));
-    fn("misses", static_cast<std::uint64_t>(misses_));
-    fn("inserts", static_cast<std::uint64_t>(inserts_));
-    fn("entries", static_cast<std::uint64_t>(count_));
-    fn("env_overflows", static_cast<std::uint64_t>(env_overflows_));
-    fn("bytes", static_cast<std::uint64_t>(bytes()));
-  }
-
   /// Soft cap on stored entries; 0 means unlimited.
   void set_capacity(std::size_t cap) { capacity_ = cap; }
 
@@ -171,9 +158,8 @@ bool restrict_env_span(const std::vector<std::uint32_t>& metas, const Env& env,
 /// O(log n + reported) node visits.  This is the index behind
 /// ObligationGraph::begin_epoch(): each open obligation registers the trace
 /// interval it is sensitive to, and an epoch stabs the tree at the new
-/// horizon instead of walking a sentinel's reverse-dependency list — the
-/// same tree-structured version indexing that lets multiversion B-trees pay
-/// only for overlapping versions.
+/// horizon — the same tree-structured version indexing that lets
+/// multiversion B-trees pay only for overlapping versions.
 ///
 /// Nodes live in a dense vector with a free list (no per-node allocation);
 /// entries are keyed by the composite (lo, payload), so removal needs the
@@ -258,23 +244,21 @@ class IntervalIndex {
 ///     re-evaluation: [] / <> keep a scan frontier plus the list of start
 ///     positions whose body verdict is still open; event searches keep the
 ///     rolling changeset probe at the frontier,
-///   - explicit dependency edges to the child obligations (and to the
-///     distinguished `kHorizon` sentinel when the recomputation read the
-///     stuttering horizon), reverse-indexed for invalidation.
+///   - explicit dependency edges to the child obligations, reverse-indexed
+///     for invalidation.
 ///
 /// When a state is appended, begin_epoch(horizon) runs the
-/// change-propagation pass.  Under the default Invalidation::Indexed mode,
-/// every open obligation that reads the stuttering horizon is registered in
-/// an IntervalIndex under the half-open sensitivity window
-/// [key.lo, inf) — removed the moment it settles or is freed — and an epoch
-/// is a stabbing query at the new horizon: O(log n + touched) to produce
-/// exactly the overlapping open obligations, which seed the
-/// reverse-dependency dirty closure.  Invalidation::ReverseWalk keeps the
-/// pre-index pass (walk the reverse-dependency list of the `kHorizon`
-/// sentinel) behind a switch for differential testing and benchmarking.
-/// Either way settled obligations are firewalls — they are never marked and
-/// the closure does not pass through them — which is exactly how verdicts
-/// for closed intervals stay pinned while only the live suffix re-settles.
+/// change-propagation pass.  Every open obligation that reads the
+/// stuttering horizon is registered in an IntervalIndex under the half-open
+/// sensitivity window [key.lo, inf) — removed the moment it settles or is
+/// freed — and an epoch is a stabbing query at the new horizon:
+/// O(log n + touched) to produce exactly the overlapping open obligations,
+/// which seed the reverse-dependency dirty closure.  Settled obligations
+/// are firewalls — they are never marked and the closure does not pass
+/// through them — which is exactly how verdicts for closed intervals stay
+/// pinned while only the live suffix re-settles.  Monitor::Mode::Scratch
+/// (core/monitor.h) is the reference the differential suites hold this
+/// pass against.
 /// Recomputation itself is lazy: the evaluator re-settles a dirty
 /// obligation the next time a root verdict needs it.
 ///
@@ -298,18 +282,6 @@ class ObligationGraph {
  public:
   using ObId = std::uint32_t;
   static constexpr ObId kNoOb = 0xffffffffu;
-  /// Sentinel obligation: "the trace's live suffix".  Under
-  /// Invalidation::ReverseWalk, obligations whose recomputation read the
-  /// stuttering horizon register a dependency on it and the invalidation
-  /// walk starts here; under Invalidation::Indexed the sentinel slot is
-  /// kept (so ObIds are stable across modes) but carries no edges.
-  static constexpr ObId kHorizon = 0;
-
-  /// How begin_epoch() finds the obligations an append can touch.
-  enum class Invalidation : std::uint8_t {
-    Indexed,      ///< IntervalIndex stab at the new horizon (default)
-    ReverseWalk,  ///< legacy reverse-dependency walk from kHorizon
-  };
 
   /// What question an obligation answers.
   enum class Op : std::uint8_t {
@@ -350,7 +322,7 @@ class ObligationGraph {
     /// open result is only reusable at the *same* horizon: a batched epoch
     /// (one begin_epoch() covering several appended states) evaluates the
     /// block's intermediate verdicts at increasing virtual horizons, and
-    /// this field — not the dirty bit, which the single invalidation walk
+    /// this field — not the dirty bit, which the single invalidation pass
     /// cleared block-wide — is what forces re-settlement between them.
     std::uint64_t horizon = 0;
 
@@ -380,30 +352,20 @@ class ObligationGraph {
     /// listed position must be rechecked each epoch; settled positions are
     /// dropped (and a settled-false / settled-true one pins the operator).
     std::vector<std::uint64_t> open_positions;
-    /// Child obligations read by the last recomputation (kHorizon included
-    /// when the scan touched the stuttering horizon).  Monotone across
-    /// epochs: an over-approximation is safe for invalidation.
+    /// Child obligations read by the last recomputation.  Settled children
+    /// are pruned by begin_recompute(); otherwise an over-approximation is
+    /// safe for invalidation.
     std::vector<ObId> deps;
   };
-
-  ObligationGraph();
 
   /// Current epoch (== number of begin_epoch() calls).
   std::uint64_t epoch() const { return epoch_; }
 
-  /// How epochs find the obligations an append can touch.  Switching is
-  /// only allowed while the graph is empty (mode shapes the registration
-  /// structures from the first obligation on).
-  void set_invalidation(Invalidation mode);
-  Invalidation invalidation() const { return invalidation_; }
-  bool indexed() const { return invalidation_ == Invalidation::Indexed; }
-
   /// Starts a new epoch at the given trace horizon (last visible index):
   /// bumps the clock, recycles slots freed since the previous epoch, and
   /// runs the invalidation pass — an IntervalIndex stab at `horizon`
-  /// seeding the reverse-dependency dirty closure (Indexed), or the legacy
-  /// walk from kHorizon (ReverseWalk).  Call once per appended block,
-  /// before re-reading root verdicts.
+  /// seeding the reverse-dependency dirty closure.  Call once per appended
+  /// block, before re-reading root verdicts.
   void begin_epoch(std::uint64_t horizon);
 
   /// The obligation for `key`, created open+dirty on first sight (freed
@@ -418,8 +380,8 @@ class ObligationGraph {
 
   /// Records "recomputing `attach` read the stuttering horizon": registers
   /// the sensitivity window [attach.key.lo, inf) in the interval index
-  /// (Indexed; once — the window already contains every later horizon), or
-  /// adds the kHorizon dependency edge (ReverseWalk).  No-op on kNoOb.
+  /// (once — the window already contains every later horizon).  No-op on
+  /// kNoOb and on settled records.
   void touch_horizon(ObId attach);
 
   /// Tells the graph `id` just settled: its interval-index registration is
@@ -431,8 +393,7 @@ class ObligationGraph {
   /// dirty anyone, and any child this recomputation actually re-reads
   /// re-registers through add_dep).  This is what bounds the dependency
   /// lists of long-lived open obligations and detaches exhausted settled
-  /// subtrees for the sweep to collect.  Indexed mode only (ReverseWalk
-  /// keeps the pre-index monotone-edge behavior exactly).
+  /// subtrees for the sweep to collect.  No-op on kNoOb.
   void begin_recompute(ObId self);
 
   /// Marks `id` as queried directly by a verdict: a GC root, never swept.
@@ -475,18 +436,6 @@ class ObligationGraph {
   /// owners whose trace was rewritten rather than appended to.
   void reset();
 
-  /// Forced settled-parent sweep: frees the resume state (open-position
-  /// lists, dependency lists) of every settled obligation and drops every
-  /// edge with a settled endpoint from the reverse index and the edge set.
-  /// Safe because settlement is permanent — a settled obligation is never
-  /// recomputed and the invalidation pass never passes through it, so none
-  /// of the freed structure can be read again.  This is the second rung of
-  /// the budget-degradation ladder (engine/service.h), after a gc_sweep();
-  /// begin_epoch() performs the same pruning lazily, edge by edge, as its
-  /// closure happens to touch them, while this sweeps everything at once.
-  /// Returns the obligations swept; counted in compactions().
-  std::size_t compact_settled();
-
   /// Estimated bytes resident in the store (gauge): the obligation and
   /// reverse-index vectors at capacity, per-obligation resume state
   /// (open-position and dependency lists), the interval-index node pool,
@@ -496,8 +445,8 @@ class ObligationGraph {
   std::size_t bytes() const;
 
   // Accounting (lifetime counters unless noted).
-  /// Resident records: slots minus the sentinel minus freed-awaiting-reuse.
-  std::size_t size() const { return obligations_.size() - 1 - freed_count_; }
+  /// Resident records: slots minus freed-awaiting-reuse.
+  std::size_t size() const { return obligations_.size() - freed_count_; }
   std::size_t edges() const { return edge_set_.size(); }
   std::size_t settled_count() const;          ///< resident settled obligations
   std::size_t open_count() const;             ///< resident open obligations
@@ -509,8 +458,6 @@ class ObligationGraph {
   /// Open-world queries whose observable bindings overflowed the inline key
   /// capacity and were evaluated without an obligation record.
   std::size_t env_overflows() const { return env_overflows_; }
-  /// Forced settled-parent sweeps (compact_settled() calls), lifetime.
-  std::size_t compactions() const { return compactions_; }
 
   // Interval-index accounting.
   std::size_t index_nodes() const { return tree_.size(); }  ///< gauge
@@ -535,33 +482,6 @@ class ObligationGraph {
   void note_fresh_hit() { ++fresh_hits_; }
   void note_env_overflow() { ++env_overflows_; }
 
-  /// Counter-export hook for the introspection surface
-  /// (engine/introspect.h): calls fn(name, value) for every counter.
-  /// entries/settled/open/edges are gauges; the rest lifetime counters.
-  template <typename Fn>
-  void for_each_counter(Fn&& fn) const {
-    fn("entries", static_cast<std::uint64_t>(size()));
-    fn("settled", static_cast<std::uint64_t>(settled_count()));
-    fn("open", static_cast<std::uint64_t>(open_count()));
-    fn("edges", static_cast<std::uint64_t>(edges()));
-    fn("dirtied", static_cast<std::uint64_t>(total_dirtied_));
-    fn("recomputed", static_cast<std::uint64_t>(recomputes_));
-    fn("settled_hits", static_cast<std::uint64_t>(settled_hits_));
-    fn("fresh_hits", static_cast<std::uint64_t>(fresh_hits_));
-    fn("env_overflows", static_cast<std::uint64_t>(env_overflows_));
-    fn("compactions", static_cast<std::uint64_t>(compactions_));
-    fn("index_nodes", static_cast<std::uint64_t>(index_nodes()));
-    fn("index_stabs", static_cast<std::uint64_t>(stabs_));
-    fn("index_visited", static_cast<std::uint64_t>(stab_visited_));
-    fn("index_touched", static_cast<std::uint64_t>(touched_total_));
-    fn("gc_sweeps", static_cast<std::uint64_t>(gc_sweeps_));
-    fn("gc_marked", static_cast<std::uint64_t>(gc_marked_));
-    fn("gc_freed", static_cast<std::uint64_t>(gc_freed_));
-    fn("gc_freed_bytes", static_cast<std::uint64_t>(gc_freed_bytes_));
-    fn("gc_orphans", static_cast<std::uint64_t>(orphan_unlinks_));
-    fn("bytes", static_cast<std::uint64_t>(bytes()));
-  }
-
  private:
   struct KeyHash {
     std::size_t operator()(const Key& k) const;
@@ -579,11 +499,10 @@ class ObligationGraph {
   void maybe_cascade_free(ObId id);
   void seed_and_close(std::vector<ObId>& stack);  ///< dirty closure over reverse_
 
-  std::vector<Obligation> obligations_;  ///< [0] is the horizon sentinel
+  std::vector<Obligation> obligations_;
   std::unordered_map<Key, ObId, KeyHash> index_;
   std::vector<std::vector<ObId>> reverse_;  ///< child -> parents
   std::unordered_set<std::uint64_t> edge_set_;  ///< packed parent<<32|child
-  Invalidation invalidation_ = Invalidation::Indexed;
   IntervalIndex tree_;             ///< open horizon-readers by sensitivity window
   std::vector<ObId> roots_;        ///< GC roots (is_root set)
   std::vector<ObId> free_list_;    ///< freed slots, reusable now
@@ -602,7 +521,6 @@ class ObligationGraph {
   std::size_t settled_hits_ = 0;
   std::size_t fresh_hits_ = 0;
   std::size_t env_overflows_ = 0;
-  std::size_t compactions_ = 0;
   std::size_t stabs_ = 0;
   std::size_t stab_visited_ = 0;
   std::size_t touched_total_ = 0;

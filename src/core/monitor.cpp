@@ -63,7 +63,7 @@ void Monitor::advance(std::size_t count, CheckResult* out) {
   }
   grow_window(count);
   // One epoch for the whole block (plus any states observe()d since the
-  // last verdict): the invalidation walk and the settled-cache reuse run
+  // last verdict): the invalidation pass and the settled-cache reuse run
   // once, and the per-prefix verdicts come from virtual horizons.
   sync_incremental_epoch();
   const std::size_t first = window_.size() - count;
@@ -73,11 +73,6 @@ void Monitor::advance(std::size_t count, CheckResult* out) {
 CheckResult Monitor::current() const {
   IL_REQUIRE(!window_.empty(), "no states observed yet");
   return mode_ == Mode::Incremental ? current_incremental() : current_scratch();
-}
-
-std::size_t Monitor::compact_settled() {
-  if (mode_ != Mode::Incremental) return 0;
-  return graph_.compact_settled();
 }
 
 void Monitor::demote_to_scratch() {
@@ -129,10 +124,6 @@ std::size_t Monitor::gc_obligations() {
 }
 
 void Monitor::set_gc_fraction(double fraction) { graph_.set_gc_fraction(fraction); }
-
-void Monitor::set_invalidation(ObligationGraph::Invalidation mode) {
-  graph_.set_invalidation(mode);
-}
 
 void Monitor::set_cache_capacity(std::size_t cap) { cache_.set_capacity(cap); }
 

@@ -26,8 +26,8 @@
 //   state).  append() is the natural driver: observe + delta verdict in one
 //   call.
 //
-//   Mode::Scratch — the pre-incremental path, kept behind this flag for
-//   differential testing and as the reference semantics: every current()
+//   Mode::Scratch — the reference semantics, and the one oracle the
+//   incremental path is differentially tested against: every current()
 //   re-evaluates from the monitor-lifetime EvalCache whose entries die with
 //   each window identity bump.  Bit-identical verdicts to Incremental at
 //   every prefix (tests/test_monitor_incremental.cpp).  Also the right mode
@@ -101,7 +101,7 @@ class Monitor {
   /// trace (already stored by its owner) and, unless `out` is null, writes
   /// the verdict after each into out[0..count).  Incremental mode runs ONE
   /// obligation-graph epoch covering the whole block — a single
-  /// invalidation walk instead of one per state — and evaluates the
+  /// invalidation pass instead of one per state — and evaluates the
   /// intermediate verdicts at increasing *virtual* horizons
   /// (core/incremental.h), which is what makes batched epochs pay.  Scratch
   /// mode advances and re-evaluates state by state.  The `monitor.append`
@@ -141,12 +141,6 @@ class Monitor {
   /// mid-loop).  A stream monitor's storage belongs to the stream's owner.
   void reserve(std::size_t states);
 
-  /// How the obligation graph finds the obligations an append can touch
-  /// (ObligationGraph::Invalidation); must be called before the first
-  /// verdict.  Default Indexed; ReverseWalk keeps the legacy pass for
-  /// differential testing and benchmarking.
-  void set_invalidation(ObligationGraph::Invalidation mode);
-
   /// Soft cap on settled-cache entries (EvalCache::set_capacity): bounds the
   /// closed-world store of a long-lived monitor.  0 = unlimited.
   void set_cache_capacity(std::size_t cap);
@@ -173,19 +167,12 @@ class Monitor {
   /// freed.
   std::size_t gc_obligations();
 
-  /// Forces a settled-parent compaction sweep on the obligation graph
-  /// (ObligationGraph::compact_settled).  Verdicts are unaffected: only
-  /// structure that can never be read again is freed.  No-op in scratch
-  /// mode.  The second rung of the budget-degradation ladder.  Returns the
-  /// obligations swept.
-  std::size_t compact_settled();
-
   /// Demotes an incremental monitor to Mode::Scratch in place: the
   /// obligation graph and the settled cache are freed (their lifetime
   /// counters survive), the window is kept — the scratch path re-reads it
   /// from base() — and every later verdict comes
   /// from the scratch path — bit-identical to the incremental verdicts it
-  /// would have produced, at full re-evaluation cost.  The third rung of
+  /// would have produced, at full re-evaluation cost.  The second rung of
   /// the budget-degradation ladder.  No-op if already scratch.
   void demote_to_scratch();
 

@@ -19,6 +19,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "core/check.h"
@@ -84,7 +85,7 @@ struct Options {
 
   /// MonitorService only: how many queued Append commands the coordinator
   /// may fold into one multi-state epoch (one pool wake and one
-  /// begin_epoch() invalidation walk per monitor for the whole block;
+  /// begin_epoch() invalidation pass per monitor for the whole block;
   /// verdict rows are bit-identical to per-state epochs at any value).
   /// Larger batches amortize per-state overhead — higher ingest throughput
   /// — at the cost of verdict latency for the states early in a block; 1
@@ -96,11 +97,11 @@ struct Options {
   /// (Monitor::footprint_bytes(): obligation graph + memo cache).  0 (the
   /// default) disables accounting entirely.  A monitor found over budget at
   /// an epoch boundary degrades one rung per epoch: first a forced
-  /// mark-and-sweep GC (Monitor::gc_obligations), then a settled-parent
-  /// compaction sweep, then demotion to Mode::Scratch (correct but slower,
-  /// and with the stores freed), then quarantine — each transition counted
-  /// in ServiceStats and rendered by dump().  The stream stores the monitors
-  /// read are not charged (ServiceStats::totals.trace_bytes reports them).
+  /// mark-and-sweep GC (Monitor::gc_obligations), then demotion to
+  /// Mode::Scratch (correct but slower, and with the stores freed), then
+  /// quarantine — each transition counted in ServiceStats and rendered by
+  /// dump().  The stream stores the monitors read are not charged
+  /// (ServiceStats::totals.trace_bytes reports them).
   std::size_t obligation_byte_budget = 0;
 
   /// Automatic obligation-graph GC pacing, applied to every monitor the
@@ -140,42 +141,84 @@ struct CheckStats {
   std::size_t axioms_failed = 0;
 };
 
+/// How a counter behaves over a fleet's life.  A Gauge reads what is
+/// resident now and drops when a monitor leaves.  A Lifetime counter never
+/// goes backwards: a departing monitor's share is folded into its owner's
+/// accumulator (add_lifetime_counters, engine/stream.h).
+enum class CounterKind : std::uint8_t { Gauge, Lifetime };
+
+/// The streaming-fleet counters, one row each:
+///   X(field, dump group, dump key, kind, value read from Monitor m).
+/// The StreamStats field, the fleet sum (operator+=), the lifetime and
+/// resident folds over a monitor (engine/stream.h), and the `group.key`
+/// dump line (engine/introspect.h) are all generated from the row.  Rows
+/// reading 0 are kept by the fleet's owner (BatchMonitor, or a service
+/// shard) rather than by any one monitor; `monitors` reads 1 per resident
+/// monitor.  memo_* are the settled caches, obligation_* the obligation
+/// graphs (core/memo.h).
+#define IL_STREAM_COUNTERS(X)                                                              \
+  X(monitors, engine, monitors, Gauge, 1)                                                  \
+  X(threads, engine, threads, Gauge, 0) /* pool workers serving the fleet */               \
+  X(states, engine, states, Lifetime, 0)                                                   \
+  X(verdicts, engine, verdicts, Lifetime, 0) /* states x monitors */                       \
+  X(axioms_checked, engine, axioms_checked, Lifetime, 0)                                   \
+  X(axioms_failed, engine, axioms_failed, Lifetime, 0)                                     \
+  X(memo_hits, memo, hits, Lifetime, m.cache().hits())                                     \
+  X(memo_misses, memo, misses, Lifetime, m.cache().misses())                               \
+  X(memo_inserts, memo, inserts, Lifetime, m.cache().inserts())                            \
+  X(memo_entries, memo, entries, Gauge, m.cache().size())                                  \
+  X(memo_bytes, memo, bytes, Gauge, m.cache().bytes())                                     \
+  X(obligation_entries, obligation, entries, Gauge, m.obligations().size())                \
+  X(obligation_settled, obligation, settled, Gauge, m.obligations().settled_count())       \
+  X(obligation_open, obligation, open, Gauge, m.obligations().open_count())                \
+  X(obligation_edges, obligation, edges, Gauge, m.obligations().edges())                   \
+  X(obligation_bytes, obligation, bytes, Gauge, m.obligations().bytes())                   \
+  X(obligation_dirtied, obligation, dirtied, Lifetime, m.obligations().total_dirtied())    \
+  X(obligation_recomputed, obligation, recomputed, Lifetime, m.obligations().recomputes()) \
+  X(obligation_index_nodes, obligation_index, nodes, Gauge, m.obligations().index_nodes()) \
+  X(obligation_index_stabs, obligation_index, stabs, Lifetime,                             \
+    m.obligations().index_stabs())                                                         \
+  X(obligation_index_visited, obligation_index, visited, Lifetime,                         \
+    m.obligations().index_visited())                                                       \
+  X(obligation_index_touched, obligation_index, touched, Lifetime,                         \
+    m.obligations().touched_total())                                                       \
+  X(gc_sweeps, gc, sweeps, Lifetime, m.obligations().gc_sweeps())                          \
+  X(gc_marked, gc, marked, Lifetime, m.obligations().gc_marked())                          \
+  X(gc_freed, gc, freed, Lifetime, m.obligations().gc_freed()) /* + orphan cascades */     \
+  X(gc_freed_bytes, gc, freed_bytes, Lifetime, m.obligations().gc_freed_bytes())           \
+  X(gc_orphans, gc, orphans, Lifetime, m.obligations().orphan_unlinks())
+
+/// Declares one counter-table row as a zero-initialized field.
+#define IL_COUNTER_FIELD(field, ...) std::size_t field = 0;
+
 /// Streaming-fleet counters (BatchMonitor, and per shard inside
-/// MonitorService): the monitors' settled caches summed into memo_*, their
-/// obligation graphs into obligation_*.  Streams are not shard-owned, so a
-/// shard's trace_bytes is 0 and the service reports its stores in
-/// ServiceStats::totals.
+/// MonitorService), generated from IL_STREAM_COUNTERS.  Streams are not
+/// shard-owned, so a shard's trace_bytes is 0 and the service reports its
+/// stores in ServiceStats::totals.
 struct StreamStats {
-  std::size_t monitors = 0;  ///< resident monitors
-  std::size_t threads = 0;   ///< pool workers serving the fleet (0 = inline)
-  std::size_t states = 0;    ///< states fed
-  std::size_t verdicts = 0;  ///< verdict rows emitted (states × monitors)
-  std::size_t axioms_checked = 0;
-  std::size_t axioms_failed = 0;
-  std::size_t memo_hits = 0;  ///< settled-cache counters, summed
-  std::size_t memo_misses = 0;
-  std::size_t memo_inserts = 0;
-  std::size_t memo_entries = 0;
-  std::size_t memo_bytes = 0;          ///< resident cache tables, summed (gauge)
-  std::size_t obligation_entries = 0;  ///< resident obligations, all graphs
-  std::size_t obligation_settled = 0;  ///< of which pinned forever
-  std::size_t obligation_open = 0;     ///< of which still provisional
-  std::size_t obligation_edges = 0;    ///< dependency edges resident
-  std::size_t obligation_bytes = 0;    ///< resident graph bytes, summed (gauge)
-  std::size_t obligation_dirtied = 0;  ///< invalidation-pass marks, lifetime
-  std::size_t obligation_recomputed = 0;  ///< re-settlements, lifetime
-  std::size_t obligation_index_nodes = 0;    ///< interval-tree nodes resident (gauge)
-  std::size_t obligation_index_stabs = 0;    ///< stabbing queries run, lifetime
-  std::size_t obligation_index_visited = 0;  ///< tree nodes visited by stabs, lifetime
-  std::size_t obligation_index_touched = 0;  ///< obligations seeded by stabs, lifetime
-  std::size_t gc_sweeps = 0;       ///< mark-and-sweep passes, lifetime
-  std::size_t gc_marked = 0;       ///< records marked reachable, lifetime
-  std::size_t gc_freed = 0;        ///< records freed (sweeps + orphan cascades)
-  std::size_t gc_freed_bytes = 0;  ///< estimated bytes returned, lifetime
-  std::size_t gc_orphans = 0;      ///< superseded records unlinked directly
+  IL_STREAM_COUNTERS(IL_COUNTER_FIELD)
   /// Bytes of the stream traces the monitors read (Trace::bytes), counted
-  /// once per stream however many monitors read it (gauge).
+  /// once per stream however many monitors read it (gauge).  Not a table
+  /// row: no monitor owns it, and the service dumps it per stream.
   std::size_t trace_bytes = 0;
+
+  /// Adds every field of `o`: the fleet sum over shards.
+  StreamStats& operator+=(const StreamStats& o) {
+#define IL_STREAM_ADD(field, ...) field += o.field;
+    IL_STREAM_COUNTERS(IL_STREAM_ADD)
+#undef IL_STREAM_ADD
+    trace_bytes += o.trace_bytes;
+    return *this;
+  }
+
+  /// Calls fn(group, key, kind, value) for every table row, in row order.
+  template <typename Fn>
+  void for_each_counter(Fn&& fn) const {
+#define IL_STREAM_VISIT(field, group, key, kind, read) \
+  fn(#group, #key, CounterKind::kind, field);
+    IL_STREAM_COUNTERS(IL_STREAM_VISIT)
+#undef IL_STREAM_VISIT
+  }
 };
 
 class BatchChecker {

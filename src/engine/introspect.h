@@ -6,17 +6,17 @@
 // `^[a-z0-9_.]+ [0-9]+$`, and tests/test_monitor_service.cpp pins it with a
 // golden dump.
 //
-// The sources are the counter-export hooks on the stores themselves
-// (EvalCache / ObligationGraph in core/memo.h, DecisionCache in
-// engine/decision.h) plus the per-family stats structs (engine.h,
-// decision.h); MonitorService::dump() composes these per shard.
+// The sources are the counter-export hooks on the decision stores
+// (DecisionCache, IntraDecisionStats in engine/decision.h) and the
+// per-family stats structs (engine.h, decision.h) — the streaming family's
+// generated from its counter table, IL_STREAM_COUNTERS;
+// MonitorService::dump() composes these per shard.
 #pragma once
 
 #include <cstdint>
 #include <ostream>
 #include <string>
 
-#include "core/memo.h"
 #include "engine/decision.h"
 #include "engine/engine.h"
 
@@ -39,12 +39,11 @@ class KvWriter {
 };
 
 /// Renders a store's counter-export hook under the writer's prefix.
-void dump_counters(KvWriter kv, const EvalCache& cache);
-void dump_counters(KvWriter kv, const ObligationGraph& graph);
 void dump_counters(KvWriter kv, const DecisionCache& cache);
 void dump_counters(KvWriter kv, const IntraDecisionStats& stats);
 
-/// Renders a per-family stats struct (fixed key order, one key per field).
+/// Renders a per-family stats struct (fixed key order, one key per field;
+/// StreamStats in IL_STREAM_COUNTERS row order, trace_bytes excluded).
 void dump_counters(KvWriter kv, const CheckStats& stats);
 void dump_counters(KvWriter kv, const DecisionStats& stats);
 void dump_counters(KvWriter kv, const StreamStats& stats);

@@ -64,20 +64,14 @@ struct MonitorService::Shard {
     /// States of the slot's stream applied since the last fault — the
     /// deterministic backoff clock gating reinstate().
     std::uint64_t states_since_fault = 0;
-    std::uint8_t degrade = 0;  ///< budget-ladder rungs already taken (0..3)
+    std::uint8_t degrade = 0;  ///< budget-ladder rungs already taken (0..2)
   };
 
   mutable std::mutex mu;
   std::vector<Slot> monitors;  ///< id order = deterministic row order
-  std::size_t live = 0;        ///< slots with a resident monitor
   std::size_t tombstones = 0;
-  std::size_t retired_compactions = 0;  ///< tombstone sweeps, lifetime
-  std::size_t quarantined = 0;  ///< slots in SlotState::Quarantined (gauge)
-  std::size_t quarantines = 0;  ///< quarantine events, lifetime
-  std::size_t budget_gcs = 0;          ///< budget rung 1: forced GC sweeps
-  std::size_t budget_compactions = 0;  ///< budget rung 2: forced compactions
-  std::size_t budget_demotions = 0;    ///< budget rung 3: to Mode::Scratch
-  std::size_t budget_quarantines = 0;  ///< budget rung 4: quarantined
+  IL_SHARD_SLOT_COUNTERS(IL_COUNTER_FIELD)
+  IL_SHARD_BUDGET_COUNTERS(IL_COUNTER_FIELD)
 
   // Stream counters (lifetime; survive retirement).
   std::size_t states = 0;
@@ -388,10 +382,8 @@ void MonitorService::apply_barrier(Command& cmd) {
     // keeps the vector id-ascending.
     sh.monitors.push_back(std::move(slot));
     if (born_quarantined) {
-      ++sh.quarantined;
+      ++sh.monitors_quarantined;
       ++sh.quarantines;
-    } else {
-      ++sh.live;
     }
     return;
   }
@@ -428,8 +420,7 @@ void MonitorService::apply_barrier(Command& cmd) {
             slot.fault = nullptr;
             slot.degrade = 0;
             slot.states_since_fault = 0;
-            ++sh.live;
-            --sh.quarantined;
+            --sh.monitors_quarantined;
             outcome = Outcome::Reinstated;
           } catch (...) {
             // The rebuild itself failed: stay quarantined with the new
@@ -471,7 +462,7 @@ void MonitorService::apply_barrier(Command& cmd) {
         release_monitor_locked(sh, static_cast<std::size_t>(it - sh.monitors.begin()));
       } else {
         // Quarantined: stores already freed and counters already folded.
-        --sh.quarantined;
+        --sh.monitors_quarantined;
       }
       it->state = Shard::SlotState::Retired;
       it->fault = nullptr;
@@ -507,7 +498,6 @@ void MonitorService::release_monitor_locked(Shard& sh, std::size_t slot_index) {
   // freed stores, which is the point of leaving.
   add_lifetime_counters(sh.departed, *slot.monitor);
   slot.monitor.reset();  // frees the obligation graph and settled cache
-  --sh.live;
 }
 
 void MonitorService::quarantine_slot_locked(Shard& sh, std::size_t slot_index,
@@ -518,7 +508,7 @@ void MonitorService::quarantine_slot_locked(Shard& sh, std::size_t slot_index,
   slot.fault = std::move(fault);
   ++slot.faults;
   slot.states_since_fault = 0;
-  ++sh.quarantined;
+  ++sh.monitors_quarantined;
   ++sh.quarantines;
 }
 
@@ -698,7 +688,7 @@ void MonitorService::run_epoch_batch(std::vector<Command>& block) {
         IL_FAULT_SCOPE(slot.id);
         try {
           // The whole sub-block in one call: the window grows over the
-          // states just stored, then one begin_epoch() walk, one
+          // states just stored, then one begin_epoch() pass, one
           // settled-cache pass, per-state verdicts at virtual horizons.
           slot.monitor->advance(count, column.data());
         } catch (...) {
@@ -725,22 +715,17 @@ void MonitorService::run_epoch_batch(std::vector<Command>& block) {
       sh.axioms_checked += slot.monitor->spec().all().size() * count;
       sh.verdicts += count;
       // Staged degradation: one rung per epoch while the monitor's stores
-      // exceed the byte budget — obligation GC, then compaction, then
-      // Scratch demotion, then quarantine.  The rows of the epoch that
-      // crossed a rung are already written (the degradation applies from
-      // the *next* epoch on).
+      // exceed the byte budget — obligation GC, then Scratch demotion, then
+      // quarantine.  The rows of the epoch that crossed a rung are already
+      // written (the degradation applies from the *next* epoch on).
       if (budget != 0 && slot.monitor->footprint_bytes() > budget) {
         if (slot.degrade == 0 && slot.mode == Monitor::Mode::Incremental) {
           slot.monitor->gc_obligations();
           slot.degrade = 1;
           ++sh.budget_gcs;
         } else if (slot.degrade <= 1 && slot.mode == Monitor::Mode::Incremental) {
-          slot.monitor->compact_settled();
-          slot.degrade = 2;
-          ++sh.budget_compactions;
-        } else if (slot.degrade <= 2 && slot.mode == Monitor::Mode::Incremental) {
           slot.monitor->demote_to_scratch();
-          slot.degrade = 3;
+          slot.degrade = 2;
           ++sh.budget_demotions;
         } else {
           quarantine_slot_locked(sh, w.slot,
@@ -906,7 +891,6 @@ std::vector<DecisionResult> MonitorService::decide(const std::vector<DecisionJob
 
 StreamStats MonitorService::shard_stats_locked(const Shard& sh) const {
   StreamStats out = sh.departed;
-  out.monitors = sh.live;
   out.threads = threads();
   out.states = sh.states;
   out.verdicts = sh.verdicts;
@@ -960,42 +944,15 @@ ServiceStats MonitorService::stats() const {
   for (std::size_t i = 0; i < shards_.size(); ++i) {
     const Shard& sh = *shards_[i];
     std::lock_guard<std::mutex> lock(sh.mu);
-    const StreamStats ss = shard_stats_locked(sh);
-    out.retired_compactions += sh.retired_compactions;
-    out.monitors_quarantined += sh.quarantined;
-    out.quarantines += sh.quarantines;
-    out.budget_gcs += sh.budget_gcs;
-    out.budget_compactions += sh.budget_compactions;
-    out.budget_demotions += sh.budget_demotions;
-    out.budget_quarantines += sh.budget_quarantines;
-    out.totals.monitors += ss.monitors;
-    out.totals.verdicts += ss.verdicts;
-    out.totals.axioms_checked += ss.axioms_checked;
-    out.totals.axioms_failed += ss.axioms_failed;
-    out.totals.memo_hits += ss.memo_hits;
-    out.totals.memo_misses += ss.memo_misses;
-    out.totals.memo_inserts += ss.memo_inserts;
-    out.totals.memo_entries += ss.memo_entries;
-    out.totals.memo_bytes += ss.memo_bytes;
-    out.totals.obligation_entries += ss.obligation_entries;
-    out.totals.obligation_settled += ss.obligation_settled;
-    out.totals.obligation_open += ss.obligation_open;
-    out.totals.obligation_edges += ss.obligation_edges;
-    out.totals.obligation_bytes += ss.obligation_bytes;
-    out.totals.obligation_dirtied += ss.obligation_dirtied;
-    out.totals.obligation_recomputed += ss.obligation_recomputed;
-    out.totals.obligation_index_nodes += ss.obligation_index_nodes;
-    out.totals.obligation_index_stabs += ss.obligation_index_stabs;
-    out.totals.obligation_index_visited += ss.obligation_index_visited;
-    out.totals.obligation_index_touched += ss.obligation_index_touched;
-    out.totals.gc_sweeps += ss.gc_sweeps;
-    out.totals.gc_marked += ss.gc_marked;
-    out.totals.gc_freed += ss.gc_freed;
-    out.totals.gc_freed_bytes += ss.gc_freed_bytes;
-    out.totals.gc_orphans += ss.gc_orphans;
+#define IL_SUM_SHARD(field, ...) out.field += sh.field;
+    IL_SHARD_SLOT_COUNTERS(IL_SUM_SHARD)
+    IL_SHARD_BUDGET_COUNTERS(IL_SUM_SHARD)
+#undef IL_SUM_SHARD
+    out.totals += shard_stats_locked(sh);
   }
-  // A shard's `states` gauge counts the states that actually touched it, so
-  // the fleet-level figure is the service's own applied count.
+  // Threads are the pool's, not a per-shard sum, and a shard's `states`
+  // counts the states that actually touched it, so the fleet-level figure
+  // is the service's own applied count.
   out.totals.threads = out.threads;
   out.totals.states = out.states_applied;
   return out;
@@ -1020,16 +977,13 @@ void MonitorService::dump(std::ostream& os) const {
   service.emit("monitors_resident", s.monitors_resident);
   service.emit("monitors_retired", s.monitors_retired);
   service.emit("retire_misses", s.retire_misses);
-  service.emit("retired_compactions", s.retired_compactions);
-  service.emit("monitors_quarantined", s.monitors_quarantined);
-  service.emit("quarantines", s.quarantines);
+#define IL_EMIT_SERVICE(field, ...) service.emit(#field, s.field);
+  IL_SHARD_SLOT_COUNTERS(IL_EMIT_SERVICE)
   service.emit("reinstates", s.reinstates);
   service.emit("reinstate_misses", s.reinstate_misses);
   service.emit("reinstate_refused", s.reinstate_refused);
-  service.emit("budget_gcs", s.budget_gcs);
-  service.emit("budget_compactions", s.budget_compactions);
-  service.emit("budget_demotions", s.budget_demotions);
-  service.emit("budget_quarantines", s.budget_quarantines);
+  IL_SHARD_BUDGET_COUNTERS(IL_EMIT_SERVICE)
+#undef IL_EMIT_SERVICE
   service.emit("decision_jobs", s.decision_jobs);
   service.emit("trace_bytes", s.totals.trace_bytes);
   for (std::size_t i = 0; i < s.stream_trace_bytes.size(); ++i) {
@@ -1047,13 +1001,10 @@ void MonitorService::dump_shard(std::size_t shard, std::ostream& os) const {
   const StreamStats ss = shard_stats_locked(sh);
   KvWriter kv(os, "shard" + std::to_string(shard) + ".");
   dump_counters(kv, ss);
-  kv.emit("retired_compactions", sh.retired_compactions);
-  kv.emit("quarantined", sh.quarantined);
-  kv.emit("quarantines", sh.quarantines);
-  kv.emit("budget_gcs", sh.budget_gcs);
-  kv.emit("budget_compactions", sh.budget_compactions);
-  kv.emit("budget_demotions", sh.budget_demotions);
-  kv.emit("budget_quarantines", sh.budget_quarantines);
+#define IL_EMIT_SHARD(field, key, kind) kv.emit(#key, sh.field);
+  IL_SHARD_SLOT_COUNTERS(IL_EMIT_SHARD)
+  IL_SHARD_BUDGET_COUNTERS(IL_EMIT_SHARD)
+#undef IL_EMIT_SHARD
   KvWriter dec = kv.scoped("decision");
   dump_counters(dec, sh.decisions);
   dec.emit("jobs", sh.decision_jobs);

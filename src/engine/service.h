@@ -50,9 +50,9 @@
 //   block's streams is never touched) across a persistent *parked* worker
 //   pool (detail::ParkedPool, engine/pool.h), and each shard advances every
 //   subscribed monitor's window over its stream's whole sub-block in one
-//   Monitor::advance call — one begin_epoch() invalidation walk and one
+//   Monitor::advance call — one begin_epoch() invalidation pass and one
 //   settled-cache pass cover the block, which is what converts per-state
-//   coordinator overhead (wake + walk + drain x N) into per-batch overhead.
+//   coordinator overhead (wake + stab + drain x N) into per-batch overhead.
 //
 //   Verdicts — every appended state produces one VerdictRow (stream, seq,
 //   and the per-monitor verdicts of that stream, ordered by MonitorId) into
@@ -72,10 +72,10 @@
 //   Introspection — dump() / dump_shard() render every counter family as
 //   stable `key value` text (engine/introspect.h): service-level gauges
 //   (including queue_peak, epoch_batches, states_per_batch_max), then per
-//   shard the engine, eval-cache (memo.*), obligation-graph, compaction,
-//   and decision-cache (decision.*) counters.  A shard dump is snapshot-
-//   consistent: all of its lines are read under the shard's mutex, between
-//   epochs touching that shard.
+//   shard the engine, eval-cache (memo.*), obligation-graph, slot and
+//   budget-ladder, and decision-cache (decision.*) counters.  A shard dump
+//   is snapshot-consistent: all of its lines are read under the shard's
+//   mutex, between epochs touching that shard.
 //
 //   Fault isolation — a monitor whose evaluation throws is *quarantined*,
 //   not fatal: the throw is caught inside the shard task at the epoch
@@ -92,9 +92,8 @@
 //   budget (Options::max_reinstate_attempts).  Resource faults feed the same
 //   machinery: with Options::obligation_byte_budget set, a monitor found
 //   over budget at an epoch boundary degrades one rung per epoch —
-//   forced obligation GC, then settled-parent compaction, then demotion to
-//   Mode::Scratch, then quarantine — each rung counted in ServiceStats and
-//   rendered by dump().
+//   forced obligation GC, then demotion to Mode::Scratch, then
+//   quarantine — each rung counted in ServiceStats and rendered by dump().
 //
 // Error contract: *poisoning* remains only for coordinator-level invariant
 // violations (a throw escaping the command loop itself, e.g. an injected
@@ -215,6 +214,22 @@ struct VerdictRow {
   }
 };
 
+/// The counters every shard keeps about its slots, one row each:
+///   X(field, shard dump key, kind)   (CounterKind, engine.h)
+/// The Shard field, the ServiceStats field summing it over shards, and the
+/// dump lines `service.<field>` and `shardN.<key>` are generated from the
+/// row.  Two tables because the service section renders the coordinator's
+/// reinstate counters between them.
+#define IL_SHARD_SLOT_COUNTERS(X)                                              \
+  X(retired_compactions, retired_compactions, Lifetime) /* tombstone sweeps */ \
+  X(monitors_quarantined, quarantined, Gauge)                                  \
+  X(quarantines, quarantines, Lifetime)
+/// The byte-budget ladder (Options::obligation_byte_budget), one rung each.
+#define IL_SHARD_BUDGET_COUNTERS(X)                                     \
+  X(budget_gcs, budget_gcs, Lifetime) /* rung 1: forced GC sweeps */    \
+  X(budget_demotions, budget_demotions, Lifetime) /* rung 2: Scratch */ \
+  X(budget_quarantines, budget_quarantines, Lifetime) /* rung 3 */
+
 /// Service-level gauges and counters (per-shard detail via shard_stats()).
 struct ServiceStats {
   std::size_t shards = 0;
@@ -232,16 +247,11 @@ struct ServiceStats {
   std::size_t monitors_resident = 0;
   std::size_t monitors_retired = 0;
   std::size_t retire_misses = 0;  ///< retire() of an unknown/already-retired id
-  std::size_t retired_compactions = 0;  ///< tombstone sweeps, summed over shards
-  std::size_t monitors_quarantined = 0;  ///< quarantined right now (gauge)
-  std::size_t quarantines = 0;  ///< quarantine events, lifetime
+  IL_SHARD_SLOT_COUNTERS(IL_COUNTER_FIELD)  // summed over shards
   std::size_t reinstates = 0;   ///< successful reinstate()s, lifetime
   std::size_t reinstate_misses = 0;   ///< reinstate() of unknown/active id
   std::size_t reinstate_refused = 0;  ///< refused by backoff or retry budget
-  std::size_t budget_gcs = 0;          ///< degradation rung 1: forced GC sweeps
-  std::size_t budget_compactions = 0;  ///< degradation rung 2: forced compactions
-  std::size_t budget_demotions = 0;    ///< degradation rung 3: to Scratch
-  std::size_t budget_quarantines = 0;  ///< degradation rung 4: quarantined
+  IL_SHARD_BUDGET_COUNTERS(IL_COUNTER_FIELD)  // summed over shards
   std::size_t decision_jobs = 0;  ///< lifetime, via decide()
   /// Summed over shards, plus trace_bytes summed over the stream stores.
   /// The stores are not charged to Options::obligation_byte_budget nor to

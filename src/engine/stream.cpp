@@ -103,7 +103,6 @@ const std::vector<std::vector<CheckResult>>& BatchMonitor::feed_block(const Stat
 
 const StreamStats& BatchMonitor::stream_stats() const {
   stream_stats_ = StreamStats{};
-  stream_stats_.monitors = monitors_.size();
   stream_stats_.threads = pool_ ? pool_->size() : 0;
   stream_stats_.states = states_fed_;
   stream_stats_.verdicts = states_fed_ * monitors_.size();
@@ -122,35 +121,16 @@ std::vector<MonitorJob> jobs_for_specs(const std::vector<Spec>& specs, const Env
 }
 
 void add_lifetime_counters(StreamStats& out, const Monitor& m) {
-  const EvalCache& c = m.cache();
-  out.memo_hits += c.hits();
-  out.memo_misses += c.misses();
-  out.memo_inserts += c.inserts();
-  const ObligationGraph& g = m.obligations();
-  out.obligation_dirtied += g.total_dirtied();
-  out.obligation_recomputed += g.recomputes();
-  out.obligation_index_stabs += g.index_stabs();
-  out.obligation_index_visited += g.index_visited();
-  out.obligation_index_touched += g.touched_total();
-  out.gc_sweeps += g.gc_sweeps();
-  out.gc_marked += g.gc_marked();
-  out.gc_freed += g.gc_freed();
-  out.gc_freed_bytes += g.gc_freed_bytes();
-  out.gc_orphans += g.orphan_unlinks();
+#define IL_FOLD_LIFETIME(field, group, key, kind, read) \
+  if constexpr (CounterKind::kind == CounterKind::Lifetime) out.field += (read);
+  IL_STREAM_COUNTERS(IL_FOLD_LIFETIME)
+#undef IL_FOLD_LIFETIME
 }
 
 void add_monitor_counters(StreamStats& out, const Monitor& m) {
-  add_lifetime_counters(out, m);
-  const EvalCache& c = m.cache();
-  out.memo_entries += c.size();
-  out.memo_bytes += c.bytes();
-  const ObligationGraph& g = m.obligations();
-  out.obligation_entries += g.size();
-  out.obligation_settled += g.settled_count();
-  out.obligation_open += g.open_count();
-  out.obligation_edges += g.edges();
-  out.obligation_bytes += g.bytes();
-  out.obligation_index_nodes += g.index_nodes();
+#define IL_FOLD_RESIDENT(field, group, key, kind, read) out.field += (read);
+  IL_STREAM_COUNTERS(IL_FOLD_RESIDENT)
+#undef IL_FOLD_RESIDENT
 }
 
 }  // namespace engine

@@ -127,15 +127,13 @@ class BatchMonitor {
 /// Builds the common "every spec watches the same stream" job list.
 std::vector<MonitorJob> jobs_for_specs(const std::vector<Spec>& specs, const Env& env = {});
 
-/// Adds `m`'s lifetime counters — memo hits/misses/inserts, obligation
-/// dirtied/recomputed, obligation_index stabs/visited/touched, and every
-/// gc_* counter — to `out`.  The one fold a retiring or quarantined monitor
-/// leaves in its owner's accumulator, so lifetime totals never go
-/// backwards when a monitor leaves.
+/// Adds `m`'s share of every Lifetime row of IL_STREAM_COUNTERS (engine.h)
+/// to `out`.  The one fold a retiring or quarantined monitor leaves in its
+/// owner's accumulator, so lifetime totals never go backwards when a
+/// monitor leaves.
 void add_lifetime_counters(StreamStats& out, const Monitor& m);
 
-/// Adds a resident monitor's counters to `out`: its gauges (resident memo
-/// and obligation entries, bytes, index nodes) plus add_lifetime_counters.
+/// Adds a resident monitor's share of every row, gauges included.
 void add_monitor_counters(StreamStats& out, const Monitor& m);
 
 }  // namespace engine

@@ -287,7 +287,6 @@ TEST(MonitorService, GoldenDumpOfFreshService) {
       "service.reinstate_misses 0\n"
       "service.reinstate_refused 0\n"
       "service.budget_gcs 0\n"
-      "service.budget_compactions 0\n"
       "service.budget_demotions 0\n"
       "service.budget_quarantines 0\n"
       "service.decision_jobs 0\n"
@@ -326,7 +325,6 @@ TEST(MonitorService, GoldenDumpOfFreshService) {
     expected += p + ".quarantined 0\n";
     expected += p + ".quarantines 0\n";
     expected += p + ".budget_gcs 0\n";
-    expected += p + ".budget_compactions 0\n";
     expected += p + ".budget_demotions 0\n";
     expected += p + ".budget_quarantines 0\n";
     expected += p + ".decision.hits 0\n";

@@ -7,8 +7,8 @@
 // unbound meta variable (std::invalid_argument) exactly when a state with
 // boom=1 arrives, and short-circuits safely on every other state.  On top
 // of that: the reinstate lifecycle (backoff gate, retry budget, rebuild
-// failure), the byte-budget degradation ladder (compaction -> Scratch
-// demotion -> quarantine), decide() errors not poisoning ingest, and —
+// failure), the byte-budget degradation ladder (GC -> Scratch demotion ->
+// quarantine), decide() errors not poisoning ingest, and —
 // under IL_FAULT_INJECTION — per-site differentials for the injected
 // harness plus a seeded soak (IL_FAULT_SOAK_SECONDS bounds it).
 #include <gtest/gtest.h>
@@ -305,14 +305,12 @@ TEST(ServiceFault, BudgetLadderDegradesOneRungPerEpoch) {
   for (const State& s : run.states()) service.append(s);
   service.flush();
 
-  // Epoch 1 forced an obligation GC, epoch 2 a compaction sweep, epoch 3
-  // demoted to Scratch, epoch 4 quarantined; the rows of those epochs were
-  // evaluated (degradation applies from the next epoch) and stay
-  // bit-identical to the unbudgeted monitor — Scratch is the reference
-  // semantics.
+  // Epoch 1 forced an obligation GC, epoch 2 demoted to Scratch, epoch 3
+  // quarantined; the rows of those epochs were evaluated (degradation
+  // applies from the next epoch) and stay bit-identical to the unbudgeted
+  // monitor — Scratch is the reference semantics.
   const ServiceStats stats = service.stats();
   EXPECT_EQ(stats.budget_gcs, 1u);
-  EXPECT_EQ(stats.budget_compactions, 1u);
   EXPECT_EQ(stats.budget_demotions, 1u);
   EXPECT_EQ(stats.budget_quarantines, 1u);
   EXPECT_EQ(stats.quarantines, 1u);
@@ -322,7 +320,7 @@ TEST(ServiceFault, BudgetLadderDegradesOneRungPerEpoch) {
   ASSERT_EQ(rows.size(), run.size());
   for (std::size_t k = 0; k < rows.size(); ++k) {
     const ServiceVerdict& v = rows[k].verdicts[0];
-    if (k < 4) {
+    if (k < 3) {
       EXPECT_NE(rows[k].verdict_at(0), Verdict::Faulted) << "row " << k;
       EXPECT_EQ(v.result.ok, reference[k].verdicts[0].result.ok) << "row " << k;
       EXPECT_EQ(v.result.failed, reference[k].verdicts[0].result.failed) << "row " << k;
@@ -396,28 +394,51 @@ TEST(ServiceFault, DecideErrorsDoNotPoisonIngest) {
   EXPECT_EQ(service.drain().size(), run.size());
 }
 
+/// (name, value) of every Lifetime row of the counter tables in one
+/// snapshot: IL_STREAM_COUNTERS for the fleet totals and for each shard,
+/// IL_SHARD_SLOT_COUNTERS / IL_SHARD_BUDGET_COUNTERS for the service.  The
+/// rows come from the tables, so counters added later are covered by the
+/// monotonicity tests below without editing them.  Gauges (resident
+/// entries, bytes, monitors) legitimately fall when a monitor leaves.
+using CounterRows = std::vector<std::pair<std::string, std::size_t>>;
+
+void add_lifetime_rows(CounterRows& out, const std::string& prefix, const StreamStats& s) {
+  s.for_each_counter(
+      [&](const char* group, const char* key, engine::CounterKind kind, std::size_t v) {
+        if (kind == engine::CounterKind::Lifetime) {
+          out.emplace_back(prefix + group + "." + key, v);
+        }
+      });
+}
+
+CounterRows lifetime_rows(const MonitorService& service) {
+  const ServiceStats stats = service.stats();
+  CounterRows rows;
+  add_lifetime_rows(rows, "totals.", stats.totals);
+  for (std::size_t i = 0; i < service.shards(); ++i) {
+    add_lifetime_rows(rows, "shard" + std::to_string(i) + ".", service.shard_stats(i));
+  }
+#define IL_LIFETIME_ROW(field, key, kind)                                     \
+  if constexpr (engine::CounterKind::kind == engine::CounterKind::Lifetime) { \
+    rows.emplace_back("service." #field, stats.field);                        \
+  }
+  IL_SHARD_SLOT_COUNTERS(IL_LIFETIME_ROW)
+  IL_SHARD_BUDGET_COUNTERS(IL_LIFETIME_ROW)
+#undef IL_LIFETIME_ROW
+  return rows;
+}
+
+/// Expects no row of `now` below its value in `last`, then advances `last`.
+void expect_monotone(CounterRows& last, CounterRows now, const std::string& step) {
+  ASSERT_EQ(now.size(), last.size());
+  for (std::size_t r = 0; r < now.size(); ++r) {
+    ASSERT_EQ(now[r].first, last[r].first);
+    EXPECT_GE(now[r].second, last[r].second) << now[r].first << " went backwards on " << step;
+  }
+  last = std::move(now);
+}
+
 TEST(ServiceFault, LifetimeCountersAreMonotoneAcrossRetireQuarantineReinstate) {
-  // Every lifetime field of stats().totals; the gauges (resident entries,
-  // bytes, index nodes, monitors) legitimately fall when a monitor leaves.
-  const std::vector<std::pair<const char*, std::size_t StreamStats::*>> lifetime = {
-      {"states", &StreamStats::states},
-      {"verdicts", &StreamStats::verdicts},
-      {"axioms_checked", &StreamStats::axioms_checked},
-      {"axioms_failed", &StreamStats::axioms_failed},
-      {"memo_hits", &StreamStats::memo_hits},
-      {"memo_misses", &StreamStats::memo_misses},
-      {"memo_inserts", &StreamStats::memo_inserts},
-      {"obligation_dirtied", &StreamStats::obligation_dirtied},
-      {"obligation_recomputed", &StreamStats::obligation_recomputed},
-      {"obligation_index_stabs", &StreamStats::obligation_index_stabs},
-      {"obligation_index_visited", &StreamStats::obligation_index_visited},
-      {"obligation_index_touched", &StreamStats::obligation_index_touched},
-      {"gc_sweeps", &StreamStats::gc_sweeps},
-      {"gc_marked", &StreamStats::gc_marked},
-      {"gc_freed", &StreamStats::gc_freed},
-      {"gc_freed_bytes", &StreamStats::gc_freed_bytes},
-      {"gc_orphans", &StreamStats::gc_orphans},
-  };
   constexpr std::size_t kBoom = 30;
   const Trace trace = boom_trace(kBoom, 10);
   ASSERT_GT(trace.size(), kBoom + 12);
@@ -433,43 +454,94 @@ TEST(ServiceFault, LifetimeCountersAreMonotoneAcrossRetireQuarantineReinstate) {
   const MonitorId victim = service.register_spec(boom_spec());
   service.register_spec(sys::mutex_spec(3), {}, Monitor::Mode::Scratch);
 
-  StreamStats last = service.stats().totals;
-  const auto expect_monotone = [&](const std::string& step) {
-    const StreamStats now = service.stats().totals;
-    for (const auto& [name, field] : lifetime) {
-      EXPECT_GE(now.*field, last.*field) << name << " went backwards on " << step;
-    }
-    last = now;
-  };
+  CounterRows last = lifetime_rows(service);
   const auto feed = [&](std::size_t from, std::size_t to) {
     for (std::size_t k = from; k < to; ++k) service.append(trace.states()[k]);
     service.flush();
   };
 
   feed(0, kBoom);
-  expect_monotone("append");
+  expect_monotone(last, lifetime_rows(service), "append");
   // The departing monitors have real history in every counter family.
-  EXPECT_GT(last.obligation_index_stabs, 0u);
-  EXPECT_GT(last.gc_sweeps, 0u);
-  EXPECT_GT(last.gc_freed, 0u);
-  EXPECT_GT(last.memo_hits, 0u);
+  const StreamStats totals = service.stats().totals;
+  EXPECT_GT(totals.obligation_index_stabs, 0u);
+  EXPECT_GT(totals.gc_sweeps, 0u);
+  EXPECT_GT(totals.gc_freed, 0u);
+  EXPECT_GT(totals.memo_hits, 0u);
 
   service.retire(first);
   service.flush();
-  expect_monotone("retire");
+  expect_monotone(last, lifetime_rows(service), "retire");
 
   feed(kBoom, kBoom + 4);
   EXPECT_EQ(service.stats().quarantines, 1u);
-  expect_monotone("quarantine");
+  expect_monotone(last, lifetime_rows(service), "quarantine");
 
   feed(kBoom + 4, kBoom + 5);  // sits out the one-state backoff
   service.reinstate(victim);
   service.flush();
   EXPECT_EQ(service.stats().reinstates, 1u);
-  expect_monotone("reinstate");
+  expect_monotone(last, lifetime_rows(service), "reinstate");
 
   feed(kBoom + 5, trace.size());
-  expect_monotone("append after reinstate");
+  expect_monotone(last, lifetime_rows(service), "append after reinstate");
+}
+
+/// The same table-driven check down the byte-budget ladder: with a budget
+/// of one byte every incremental monitor is GC'd, demoted to Scratch and
+/// quarantined on consecutive epochs, one on each of two streams, and one
+/// is retired mid-ladder and the other reinstated after its backoff.
+TEST(ServiceFault, LifetimeCountersAreMonotoneDownTheBudgetLadder) {
+  sys::MutexRunConfig mc;
+  mc.seed = 1;
+  mc.entries = 4;
+  const Trace run = sys::run_mutex(mc);
+  ASSERT_GE(run.size(), 8u);
+
+  Options opts;
+  opts.num_threads = 2;
+  opts.num_shards = 2;
+  opts.max_epoch_batch = 1;
+  opts.obligation_byte_budget = 1;  // always over budget: one rung per epoch
+  MonitorService service(opts);
+  const StreamId other = service.open_stream("other");
+  const MonitorId victim = service.register_spec(sys::mutex_spec(3));
+  const MonitorId leaver = service.register_spec(other, sys::mutex_spec(3));
+  service.flush();
+  CounterRows last = lifetime_rows(service);
+  const auto step = [&](const std::string& name) {
+    service.flush();
+    expect_monotone(last, lifetime_rows(service), name);
+  };
+
+  std::size_t k = 0;
+  service.append(run.states()[k]);
+  service.append(other, run.states()[k++]);
+  step("append (rung 1: GC)");
+  service.retire(leaver);  // active at retirement: its counters fold
+  step("retire");
+  service.append(run.states()[k++]);
+  step("append (rung 2: Scratch)");
+  service.append(run.states()[k++]);
+  step("append (rung 3: quarantine)");
+  EXPECT_EQ(service.stats().monitors_quarantined, 1u);
+  for (int i = 0; i < 2; ++i) {  // sit out the backoff window
+    service.append(run.states()[k++]);
+    step("append while quarantined");
+  }
+  service.reinstate(victim);
+  step("reinstate");
+  while (k < run.size()) {
+    service.append(run.states()[k++]);
+    step("append after reinstate");
+  }
+
+  const ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.reinstates, 1u);
+  EXPECT_EQ(stats.monitors_retired, 1u);
+  EXPECT_EQ(stats.budget_gcs, 3u);  // both first epochs, and the reinstated one
+  EXPECT_EQ(stats.budget_demotions, 2u);
+  EXPECT_EQ(stats.budget_quarantines, 2u);
 }
 
 #ifdef IL_FAULT_INJECTION
