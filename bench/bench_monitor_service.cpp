@@ -2,8 +2,8 @@
 // the spawn-per-feed fan-out it replaced, and how a resident fleet scales.
 //
 //   bench_service_feed_parked/T   per-state fleet epoch through a ParkedPool
-//                                 of T workers (the BatchMonitor/
-//                                 MonitorService path: wake + drain)
+//                                 of T workers (the MonitorService path:
+//                                 wake + drain)
 //   bench_service_feed_spawn/T    the pre-service reference: the same epoch
 //                                 through run_claimed(), spawning and
 //                                 joining T threads for every state

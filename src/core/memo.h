@@ -277,7 +277,7 @@ class IntervalIndex {
 /// evaluation stay inert.
 ///
 /// Single-threaded by design: one graph belongs to one monitor over one
-/// trace (parallel fleets get one graph per monitor; see engine/stream.h).
+/// trace (a service fleet gets one graph per monitor; see engine/service.h).
 class ObligationGraph {
  public:
   using ObId = std::uint32_t;

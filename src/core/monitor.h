@@ -41,10 +41,9 @@
 // appended.  A *standalone* monitor (Monitor(spec)) owns its trace, and
 // append()/append_block() store each state there before advancing.  A
 // *stream* monitor (Monitor(spec, env, mode, stream)) holds no states: it
-// reads a trace someone else owns — the MonitorService
-// coordinator's per-stream store, or a BatchMonitor's fleet trace — from
-// the stream's end at construction on, so N monitors on one stream cost
-// one stored copy of each state.  The owner appends before it fans the
+// reads a trace someone else owns — the MonitorService coordinator's
+// per-stream store — from the stream's end at construction on, so N
+// monitors on one stream cost one stored copy of each state.  The owner appends before it fans the
 // monitors out and may drop the trace's dead prefix between epochs
 // (Trace::drop_front + rebase()); the window keeps its positions, so no
 // cache notices either.
@@ -52,11 +51,12 @@
 // A Monitor is a stateful online object: current(), although const, writes
 // the internal stores, so a single Monitor must be driven from one thread
 // at a time, and never while its trace is being appended to.  Use one
-// Monitor per stream; for fleets sharing one state stream use
-// engine::BatchMonitor (engine/stream.h) or engine::MonitorService, and
-// for offline batch verdicts engine::BatchChecker.  A Monitor whose
-// append or advance threw (an injected fault) must be discarded: the
-// service quarantines it and a BatchMonitor poisons its fleet.
+// standalone Monitor per stream; for fleets sharing one state stream use
+// engine::MonitorService (engine/service.h), and for offline batch
+// verdicts engine::BatchChecker.  A Monitor whose append or advance threw
+// (an injected fault) must be discarded: the service quarantines it,
+// freeing its stores while its fleet runs on, and a standalone monitor's
+// caller drops it.
 #pragma once
 
 #include <cstddef>

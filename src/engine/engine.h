@@ -38,15 +38,12 @@ struct CheckJob {
 };
 
 /// The engine's one options struct, shared by every front-end: the offline
-/// batch families (BatchChecker, BatchDecider), the streaming fleet
-/// (BatchMonitor), and the resident MonitorService.  Each front-end reads
-/// the knobs that concern it and documents any family-specific meaning.
+/// batch families (BatchChecker, BatchDecider) and the resident
+/// MonitorService.  Each front-end reads the knobs that concern it.
 struct Options {
-  /// Worker threads; 0 means std::thread::hardware_concurrency() for the
-  /// offline families and for MonitorService.  The effective pool never
-  /// exceeds the number of jobs, and batches of at most one job run inline
-  /// on the calling thread.  BatchMonitor is the exception: 0 means
-  /// *inline* there (see stream.h).
+  /// Worker threads; 0 means std::thread::hardware_concurrency().  The
+  /// effective pool never exceeds the number of jobs, and batches of at
+  /// most one job run inline on the calling thread.
   std::size_t num_threads = 0;
 
   /// Per-worker subformula memoization (see core/memo.h).  Disabling it is
@@ -144,18 +141,17 @@ struct CheckStats {
 /// How a counter behaves over a fleet's life.  A Gauge reads what is
 /// resident now and drops when a monitor leaves.  A Lifetime counter never
 /// goes backwards: a departing monitor's share is folded into its owner's
-/// accumulator (add_lifetime_counters, engine/stream.h).
+/// accumulator (add_lifetime_counters, engine/service.cpp).
 enum class CounterKind : std::uint8_t { Gauge, Lifetime };
 
 /// The streaming-fleet counters, one row each:
 ///   X(field, dump group, dump key, kind, value read from Monitor m).
 /// The StreamStats field, the fleet sum (operator+=), the lifetime and
-/// resident folds over a monitor (engine/stream.h), and the `group.key`
+/// resident folds over a monitor (engine/service.cpp), and the `group.key`
 /// dump line (engine/introspect.h) are all generated from the row.  Rows
-/// reading 0 are kept by the fleet's owner (BatchMonitor, or a service
-/// shard) rather than by any one monitor; `monitors` reads 1 per resident
-/// monitor.  memo_* are the settled caches, obligation_* the obligation
-/// graphs (core/memo.h).
+/// reading 0 are kept by the fleet's owner (a service shard) rather than
+/// by any one monitor; `monitors` reads 1 per resident monitor.  memo_* are
+/// the settled caches, obligation_* the obligation graphs (core/memo.h).
 #define IL_STREAM_COUNTERS(X)                                                              \
   X(monitors, engine, monitors, Gauge, 1)                                                  \
   X(threads, engine, threads, Gauge, 0) /* pool workers serving the fleet */               \
@@ -191,10 +187,10 @@ enum class CounterKind : std::uint8_t { Gauge, Lifetime };
 /// Declares one counter-table row as a zero-initialized field.
 #define IL_COUNTER_FIELD(field, ...) std::size_t field = 0;
 
-/// Streaming-fleet counters (BatchMonitor, and per shard inside
-/// MonitorService), generated from IL_STREAM_COUNTERS.  Streams are not
-/// shard-owned, so a shard's trace_bytes is 0 and the service reports its
-/// stores in ServiceStats::totals.
+/// Streaming-fleet counters (per shard inside MonitorService, and summed
+/// in ServiceStats::totals), generated from IL_STREAM_COUNTERS.  Streams
+/// are not shard-owned, so a shard's trace_bytes is 0 and the service
+/// reports its stores in ServiceStats::totals.
 struct StreamStats {
   IL_STREAM_COUNTERS(IL_COUNTER_FIELD)
   /// Bytes of the stream traces the monitors read (Trace::bytes), counted

@@ -2,9 +2,9 @@
 //
 //   run_claimed() — spawn-per-batch: workers claim job indices from a single
 //   atomic counter, results land in pre-sized slots, and the lowest-indexed
-//   exception is rethrown on the calling thread.  Kept for one-shot callers
-//   that cannot amortize a resident pool; the engine job families have all
-//   moved to ParkedPool.
+//   exception is rethrown on the calling thread.  For one-shot callers
+//   that cannot amortize a resident pool: BatchChecker (engine.h) runs its
+//   batches here, with a private EvalCache built on each worker.
 //
 //   ParkedPool — the resident variant: the same claim-counter loop, but the
 //   workers are spawned once and *parked* on a condition variable between
@@ -12,9 +12,9 @@
 //   (publish a context + notify) and a drain (the caller claims indices
 //   alongside the workers until the context is exhausted), which costs
 //   microseconds where a thread spawn costs tens — the difference that makes
-//   fine-grained streaming pay off.  The streaming family (stream.h), the
-//   resident MonitorService (service.h), and the decision family
-//   (decision.h) run their epochs through it.
+//   fine-grained streaming pay off.  The resident MonitorService
+//   (service.h) and the decision family (decision.h) run their epochs
+//   through it.
 //
 //   Runs nest: a body executing under run() may call run_nested() to fan a
 //   sub-frontier (e.g. one decision's tableau wave) across whatever workers
@@ -29,7 +29,6 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
-#include <cstdint>
 #include <exception>
 #include <functional>
 #include <mutex>
@@ -142,8 +141,6 @@ class ParkedPool {
   ParkedPool& operator=(const ParkedPool&) = delete;
 
   std::size_t size() const { return threads_; }
-  std::uint64_t epochs() const { return epochs_.load(std::memory_order_relaxed); }
-  std::uint64_t nested_epochs() const { return nested_epochs_.load(std::memory_order_relaxed); }
 
   /// Wakes the pool, runs body(i) for every i in [0, count) with the caller
   /// claiming alongside the workers, and blocks until the context drains.
@@ -154,12 +151,10 @@ class ParkedPool {
       // Single work item: publishing a context just wakes workers to lose
       // the claim race.  Run inline — same order, same error contract — so
       // e.g. a service epoch touching one dirty shard costs no wake at all.
-      epochs_.fetch_add(1, std::memory_order_relaxed);
       body(0);
       return;
     }
     std::lock_guard<std::mutex> serialize(run_mu_);
-    epochs_.fetch_add(1, std::memory_order_relaxed);
     run_context(count, body);
   }
 
@@ -173,7 +168,6 @@ class ParkedPool {
       body(0);
       return;
     }
-    nested_epochs_.fetch_add(1, std::memory_order_relaxed);
     run_context(count, body);
   }
 
@@ -262,8 +256,6 @@ class ParkedPool {
   std::mutex mu_;
   std::condition_variable wake_;
   std::condition_variable drained_;
-  std::atomic<std::uint64_t> epochs_{0};
-  std::atomic<std::uint64_t> nested_epochs_{0};
   bool shutdown_ = false;
   std::vector<Context*> open_;  ///< contexts with unclaimed indices, oldest first
   std::vector<std::thread> workers_;

@@ -7,12 +7,33 @@
 
 #include "engine/introspect.h"
 #include "engine/pool.h"
-#include "engine/stream.h"
 #include "util/assert.h"
 #include "util/fault.h"
 
 namespace il {
 namespace engine {
+
+namespace {
+
+/// Adds `m`'s share of every Lifetime row of IL_STREAM_COUNTERS (engine.h)
+/// to `out`: the one fold a retiring or quarantined monitor leaves in its
+/// shard's accumulator, so lifetime totals never go backwards when a
+/// monitor leaves.
+void add_lifetime_counters(StreamStats& out, const Monitor& m) {
+#define IL_FOLD_LIFETIME(field, group, key, kind, read) \
+  if constexpr (CounterKind::kind == CounterKind::Lifetime) out.field += (read);
+  IL_STREAM_COUNTERS(IL_FOLD_LIFETIME)
+#undef IL_FOLD_LIFETIME
+}
+
+/// Adds a resident monitor's share of every row, gauges included.
+void add_monitor_counters(StreamStats& out, const Monitor& m) {
+#define IL_FOLD_RESIDENT(field, group, key, kind, read) out.field += (read);
+  IL_STREAM_COUNTERS(IL_FOLD_RESIDENT)
+#undef IL_FOLD_RESIDENT
+}
+
+}  // namespace
 
 /// One command on the ingest queue.  Register/Retire ride the same queue as
 /// Append, which is what makes lifecycle interleavings deterministic: a
@@ -73,17 +94,13 @@ struct MonitorService::Shard {
   IL_SHARD_SLOT_COUNTERS(IL_COUNTER_FIELD)
   IL_SHARD_BUDGET_COUNTERS(IL_COUNTER_FIELD)
 
-  // Stream counters (lifetime; survive retirement).
-  std::size_t states = 0;
-  std::size_t verdicts = 0;
-  std::size_t axioms_checked = 0;
-  std::size_t axioms_failed = 0;
-
-  // Lifetime cache/graph counters inherited from monitors that left
-  // (retired or quarantined; add_lifetime_counters), so the shard's
+  // The shard's lifetime stream counters: the owner-kept rows of
+  // IL_STREAM_COUNTERS (states, verdicts, axioms_*), counted by the
+  // epochs, plus the cache/graph counters inherited from monitors that
+  // left (retired or quarantined; add_lifetime_counters), so the shard's
   // lifetime totals are monotone while the resident entries (gauges) drop
   // with the departure.  Only the lifetime fields are ever non-zero.
-  StreamStats departed;
+  StreamStats kept;
 
   DecisionCache decisions;  ///< cross-batch cache for decide()
   std::size_t decision_jobs = 0;
@@ -496,7 +513,7 @@ void MonitorService::release_monitor_locked(Shard& sh, std::size_t slot_index) {
   Shard::Slot& slot = sh.monitors[slot_index];
   // Lifetime counters stay monotone; the resident gauges drop with the
   // freed stores, which is the point of leaving.
-  add_lifetime_counters(sh.departed, *slot.monitor);
+  add_lifetime_counters(sh.kept, *slot.monitor);
   slot.monitor.reset();  // frees the obligation graph and settled cache
 }
 
@@ -666,7 +683,7 @@ void MonitorService::run_epoch_batch(std::vector<Command>& block) {
                                      static_cast<std::uint32_t>(w.rank),
                                      slot.fault});
       }
-      sh.verdicts += count;
+      sh.kept.verdicts += count;
     };
     for (const WorkItem& w : plan[dirty[k]]) {
       Shard::Slot& slot = sh.monitors[w.slot];
@@ -705,15 +722,15 @@ void MonitorService::run_epoch_batch(std::vector<Command>& block) {
         continue;
       }
       for (std::size_t t = 0; t < count; ++t) {
-        sh.axioms_failed += column[t].failed.size();
+        sh.kept.axioms_failed += column[t].failed.size();
         // In place: the slot was value-initialized by the row build, so
         // only id/result need stores and no temporary is built.
         ServiceVerdict& v = rows[positions[w.si][t]].verdicts[w.rank];
         v.id = slot.id;
         v.result = std::move(column[t]);
       }
-      sh.axioms_checked += slot.monitor->spec().all().size() * count;
-      sh.verdicts += count;
+      sh.kept.axioms_checked += slot.monitor->spec().all().size() * count;
+      sh.kept.verdicts += count;
       // Staged degradation: one rung per epoch while the monitor's stores
       // exceed the byte budget — obligation GC, then Scratch demotion, then
       // quarantine.  The rows of the epoch that crossed a rung are already
@@ -737,7 +754,7 @@ void MonitorService::run_epoch_batch(std::vector<Command>& block) {
       }
     }
     for (std::size_t si = 0; si < batch_streams.size(); ++si) {
-      if (touched[si]) sh.states += positions[si].size();
+      if (touched[si]) sh.kept.states += positions[si].size();
     }
   };
   if (pool_ != nullptr && dirty.size() > 1) {
@@ -890,12 +907,8 @@ std::vector<DecisionResult> MonitorService::decide(const std::vector<DecisionJob
 // ---------------------------------------------------------------------------
 
 StreamStats MonitorService::shard_stats_locked(const Shard& sh) const {
-  StreamStats out = sh.departed;
+  StreamStats out = sh.kept;
   out.threads = threads();
-  out.states = sh.states;
-  out.verdicts = sh.verdicts;
-  out.axioms_checked = sh.axioms_checked;
-  out.axioms_failed = sh.axioms_failed;
   for (const Shard::Slot& slot : sh.monitors) {
     if (slot.monitor != nullptr) add_monitor_counters(out, *slot.monitor);
   }

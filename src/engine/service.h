@@ -1,11 +1,12 @@
 // MonitorService: monitoring as a *service* rather than a library call.
 //
-// BatchMonitor (stream.h) is a fleet with a fixed membership driven from the
-// caller's thread.  A production deployment needs the transpose of control:
-// monitors come and go at runtime while ingest streams flow, the caller
-// must never be blocked by evaluation (only by explicit backpressure), and
-// an operator must be able to watch the engine's internals live.  The
-// MonitorService is that resident process component:
+// A standalone Monitor (core/monitor.h) watches one stream from the
+// caller's thread.  A production deployment needs fleets and the transpose
+// of control: monitors come and go at runtime while ingest streams flow,
+// the caller must never be blocked by evaluation (only by explicit
+// backpressure), and an operator must be able to watch the engine's
+// internals live.  The MonitorService is that resident process component
+// and the engine's one fleet implementation:
 //
 //   Ingest — append()/try_append() enqueue states onto a *bounded* command
 //   queue (Options::queue_capacity).  append() blocks while the queue is
@@ -384,7 +385,7 @@ class MonitorService {
   void run_epoch_batch(std::vector<Command>& block);  ///< Appends only
   void enqueue(Command cmd);  ///< blocks on backpressure; throws if poisoned
   /// Folds the monitor in sh.monitors[slot_index] into the shard's
-  /// departed-lifetime accumulator and frees it: the one accounting path
+  /// lifetime accumulator (Shard::kept) and frees it: the one accounting path
   /// for retire and quarantine.  Caller holds sh.mu.
   void release_monitor_locked(Shard& sh, std::size_t slot_index);
   /// Frees the faulting monitor in sh.monitors[slot_index] (the retire

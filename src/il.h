@@ -8,7 +8,7 @@
 //   One-shot checking     check(), check_spec(), Spec / Axiom / CheckResult
 //   Batch checking        BatchChecker / CheckJob / check_batch()
 //   Batch decisions       BatchDecider / DecisionJob / decide_batch()
-//   Streaming fleets      BatchMonitor / MonitorJob, Monitor
+//   Online monitoring     Monitor (one stream, standalone)
 //   Resident service      MonitorService / MonitorId / StreamId / VerdictRow,
 //                         Verdict / ServiceFault (fault isolation)
 //   Introspection         KvWriter, dump_counters(), MonitorService::dump()
@@ -33,7 +33,6 @@
 #include "engine/engine.h"
 #include "engine/introspect.h"
 #include "engine/service.h"
-#include "engine/stream.h"
 #include "systems/ab_protocol.h"
 #include "systems/arbiter.h"
 #include "systems/mutex.h"
@@ -65,11 +64,6 @@ using engine::DecisionResult;
 using engine::lll_sat_job;
 using engine::tableau_sat_job;
 using engine::tableau_valid_job;
-
-// Streaming fleets (engine/stream.h).
-using engine::BatchMonitor;
-using engine::jobs_for_specs;
-using engine::MonitorJob;
 
 // The resident monitoring service (engine/service.h).
 using engine::AppendStatus;

@@ -28,7 +28,7 @@
 // own.  A Trace converts implicitly to the window over itself, so offline
 // callers never see the distinction.  Online, one trace is the store of one
 // state stream, written once per appended state by its owner (the
-// MonitorService coordinator, a BatchMonitor, or a standalone Monitor), and
+// MonitorService coordinator or a standalone Monitor), and
 // every monitor subscribed to the stream reads it through its own window:
 // the window starts where the monitor joined, grows as the monitor
 // advances, and stutters its *own* last state.  Each state is stored once

@@ -5,8 +5,8 @@
 // to (a) the scratch-mode monitor (the pre-incremental evaluation path,
 // kept behind Monitor::Mode::Scratch exactly for this comparison) and
 // (b) a from-scratch uncached check of each prefix.  Good and misbehaving
-// runs are both streamed, sequentially and through engine::BatchMonitor at
-// several pool sizes.
+// runs are both streamed, sequentially and through engine::MonitorService
+// at several pool widths.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -15,7 +15,7 @@
 
 #include "core/check.h"
 #include "core/monitor.h"
-#include "engine/stream.h"
+#include "engine/service.h"
 #include "systems/ab_protocol.h"
 #include "systems/arbiter.h"
 #include "systems/mutex.h"
@@ -143,58 +143,55 @@ TEST(MonitorIncremental, ObligationGraphTracksSettlement) {
   }
 }
 
-TEST(MonitorIncremental, BatchMonitorPoolsAreDeterministicAndIdentical) {
+TEST(MonitorIncremental, ServicePoolsAreDeterministicAndIdentical) {
+  using Mode = Monitor::Mode;
   StreamCases cases;
+  // Four subscribers to one stream: incremental and scratch monitors
+  // interleaved, so every row cross-checks the two evaluation paths.
+  const std::vector<Mode> modes = {Mode::Incremental, Mode::Scratch, Mode::Incremental,
+                                   Mode::Scratch};
   for (std::size_t c = 0; c < cases.traces.size(); ++c) {
     const Spec& spec = *cases.spec_of[c];
     const Trace& run = cases.traces[c];
-    // Four subscribers to one stream: incremental and scratch monitors
-    // interleaved, so every feed cross-checks the two evaluation paths.
-    std::vector<engine::MonitorJob> jobs;
-    jobs.push_back({&spec, {}, Monitor::Mode::Incremental});
-    jobs.push_back({&spec, {}, Monitor::Mode::Scratch});
-    jobs.push_back({&spec, {}, Monitor::Mode::Incremental});
-    jobs.push_back({&spec, {}, Monitor::Mode::Scratch});
-
-    // Reference stream: single-threaded fleet.
-    std::vector<std::vector<CheckResult>> reference;
+    // Reference: standalone monitors of each mode fed by append().
+    std::vector<CheckResult> ref_inc;
+    std::vector<CheckResult> ref_scratch;
     {
-      engine::Options opts;
-      opts.num_threads = 1;
-      engine::BatchMonitor fleet(jobs, opts);
+      Monitor inc(spec, {}, Mode::Incremental);
+      Monitor scratch(spec, {}, Mode::Scratch);
       for (const State& s : run.states()) {
-        const auto& v = fleet.feed(s);
-        ASSERT_EQ(v.size(), jobs.size());
-        for (std::size_t j = 1; j < v.size(); ++j) {
-          ASSERT_EQ(v[j].ok, v[0].ok) << "case " << c << " job " << j;
-          ASSERT_EQ(v[j].failed, v[0].failed) << "case " << c << " job " << j;
-        }
-        reference.push_back(v);
+        ref_inc.push_back(inc.append(s));
+        ref_scratch.push_back(scratch.append(s));
       }
-      EXPECT_EQ(fleet.states_fed(), run.size());
-      const engine::StreamStats& stats = fleet.stream_stats();
-      EXPECT_EQ(stats.states, run.size());
-      EXPECT_EQ(stats.verdicts, run.size() * jobs.size());
-      EXPECT_GT(stats.obligation_entries, 0u);
-      EXPECT_GT(stats.obligation_recomputed, 0u);
     }
 
-    // Wider pools must reproduce the reference verdict stream exactly.
-    for (const std::size_t threads : {2u, 4u}) {
+    for (const std::size_t threads : {1u, 2u, 4u}) {
       engine::Options opts;
       opts.num_threads = threads;
-      engine::BatchMonitor fleet(jobs, opts);
-      std::size_t k = 0;
-      for (const State& s : run.states()) {
-        const auto& v = fleet.feed(s);
+      engine::MonitorService service(opts);
+      for (const Mode mode : modes) service.register_spec(spec, {}, mode);
+      for (const State& s : run.states()) service.append(s);
+      service.flush();
+      const std::vector<engine::VerdictRow> rows = service.drain();
+      ASSERT_EQ(rows.size(), run.size()) << "case " << c << " threads " << threads;
+      for (std::size_t k = 0; k < rows.size(); ++k) {
+        const auto& v = rows[k].verdicts;
+        ASSERT_EQ(v.size(), modes.size());
         for (std::size_t j = 0; j < v.size(); ++j) {
-          ASSERT_EQ(v[j].ok, reference[k][j].ok)
-              << "case " << c << " threads " << threads << " state " << k;
-          ASSERT_EQ(v[j].failed, reference[k][j].failed)
-              << "case " << c << " threads " << threads << " state " << k;
+          ASSERT_EQ(v[j].result.ok, v[0].result.ok) << "case " << c << " job " << j;
+          ASSERT_EQ(v[j].result.failed, v[0].result.failed) << "case " << c << " job " << j;
+          const CheckResult& want = modes[j] == Mode::Incremental ? ref_inc[k] : ref_scratch[k];
+          ASSERT_EQ(v[j].result.ok, want.ok)
+              << "case " << c << " threads " << threads << " state " << k << " job " << j;
+          ASSERT_EQ(v[j].result.failed, want.failed)
+              << "case " << c << " threads " << threads << " state " << k << " job " << j;
         }
-        ++k;
       }
+      const engine::StreamStats totals = service.stats().totals;
+      EXPECT_EQ(totals.states, run.size());
+      EXPECT_EQ(totals.verdicts, run.size() * modes.size());
+      EXPECT_GT(totals.obligation_entries, 0u);
+      EXPECT_GT(totals.obligation_recomputed, 0u);
     }
   }
 }

@@ -3,7 +3,7 @@
 // queue; the bounded ingest queue fills (QueueFull / blocking append) and
 // drains; dump() emits the stable debugfs-style `key value` format (pinned
 // by a golden dump); and the five case-study monitors stream through the
-// service with verdicts bit-identical to engine::BatchMonitor at 1/2/4
+// service with verdicts bit-identical to standalone monitors at 1/2/4
 // threads.  Decision batches through decide() must match decide_batch() and
 // populate the per-shard decision caches.
 #include <gtest/gtest.h>
@@ -84,32 +84,34 @@ struct StreamCases {
   }
 };
 
-TEST(MonitorService, VerdictsBitIdenticalToBatchMonitorAcrossThreadCounts) {
+/// Verdicts of a standalone monitor fed every state of `run` by append():
+/// the independent reference the service rows must equal.
+std::vector<CheckResult> standalone(const Spec& spec, Monitor::Mode mode, const Trace& run) {
+  Monitor m(spec, {}, mode);
+  std::vector<CheckResult> out;
+  for (const State& s : run.states()) out.push_back(m.append(s));
+  return out;
+}
+
+TEST(MonitorService, VerdictsBitIdenticalToStandaloneMonitorsAcrossThreadCounts) {
   StreamCases cases;
+  const std::vector<Monitor::Mode> modes = {Monitor::Mode::Incremental, Monitor::Mode::Scratch,
+                                            Monitor::Mode::Incremental};
   for (std::size_t c = 0; c < cases.traces.size(); ++c) {
     const Spec& spec = *cases.spec_of[c];
     const Trace& run = cases.traces[c];
 
-    // Reference stream: a BatchMonitor fleet with incremental and scratch
-    // subscribers interleaved, fed inline.
-    std::vector<engine::MonitorJob> jobs;
-    jobs.push_back({&spec, {}, Monitor::Mode::Incremental});
-    jobs.push_back({&spec, {}, Monitor::Mode::Scratch});
-    jobs.push_back({&spec, {}, Monitor::Mode::Incremental});
+    // Reference: one standalone monitor per subscription, incremental and
+    // scratch interleaved.
     std::vector<std::vector<CheckResult>> reference;
-    {
-      engine::BatchMonitor fleet(jobs);
-      for (const State& s : run.states()) reference.push_back(fleet.feed(s));
-    }
+    for (const Monitor::Mode mode : modes) reference.push_back(standalone(spec, mode, run));
 
     for (const std::size_t threads : {1u, 2u, 4u}) {
       Options opts;
       opts.num_threads = threads;
       MonitorService service(opts);
       std::vector<MonitorId> ids;
-      for (const engine::MonitorJob& job : jobs) {
-        ids.push_back(service.register_spec(*job.spec, job.env, job.mode));
-      }
+      for (const Monitor::Mode mode : modes) ids.push_back(service.register_spec(spec, {}, mode));
       for (const State& s : run.states()) service.append(s);
       service.flush();
       const std::vector<VerdictRow> rows = service.drain();
@@ -117,12 +119,12 @@ TEST(MonitorService, VerdictsBitIdenticalToBatchMonitorAcrossThreadCounts) {
       ASSERT_EQ(rows.size(), run.size()) << "case " << c << " threads " << threads;
       for (std::size_t k = 0; k < rows.size(); ++k) {
         ASSERT_EQ(rows[k].seq, k);
-        ASSERT_EQ(rows[k].verdicts.size(), jobs.size());
-        for (std::size_t j = 0; j < jobs.size(); ++j) {
+        ASSERT_EQ(rows[k].verdicts.size(), modes.size());
+        for (std::size_t j = 0; j < modes.size(); ++j) {
           ASSERT_EQ(rows[k].verdicts[j].id, ids[j]);
-          ASSERT_EQ(rows[k].verdicts[j].result.ok, reference[k][j].ok)
+          ASSERT_EQ(rows[k].verdicts[j].result.ok, reference[j][k].ok)
               << "case " << c << " threads " << threads << " state " << k << " job " << j;
-          ASSERT_EQ(rows[k].verdicts[j].result.failed, reference[k][j].failed)
+          ASSERT_EQ(rows[k].verdicts[j].result.failed, reference[j][k].failed)
               << "case " << c << " threads " << threads << " state " << k << " job " << j;
         }
       }

@@ -18,7 +18,8 @@
 #include "core/check.h"
 #include "core/memo.h"
 #include "core/monitor.h"
-#include "engine/stream.h"
+#include "core/parser.h"
+#include "engine/service.h"
 #include "systems/ab_protocol.h"
 #include "systems/arbiter.h"
 #include "systems/mutex.h"
@@ -247,53 +248,59 @@ TEST(ObligationIndex, SoakGcPreservesVerdicts) {
   EXPECT_GT(sweeps, 0u);
 }
 
-/// Satellite 3 (pool half): the same soak through engine::BatchMonitor at
-/// pool widths 1, 2 and 4 with auto-GC armed fleet-wide — interleaved
-/// incremental and scratch subscribers must agree with each other and the
-/// wider pools must reproduce the width-1 verdict stream exactly.
+/// The same soak through a MonitorService at pool widths 1, 2 and 4 with
+/// auto-GC armed fleet-wide: per-state epochs, interleaved incremental and
+/// scratch subscribers, and every row equal to the standalone monitor of
+/// its mode (GC armed at the same fraction) at every prefix.  The
+/// relocating axiom alone keeps its graph below the automatic sweep's
+/// 256-record pacing floor on this stream (84 records at peak), so a
+/// second axiom grows the graph past it (about 400 records) and the
+/// sweeps really run.
 TEST(ObligationIndex, SoakPoolWidthsAreDeterministicUnderGc) {
+  using Mode = Monitor::Mode;
   std::mt19937 rng(0xB0BACAFEu);
   std::uniform_real_distribution<double> u(0.0, 1.0);
-  const Spec spec = relocating_spec();
+  Spec spec = relocating_spec();
+  spec.axioms.push_back({"held", parse_formula("[] [ r => !q ] q")});
   std::vector<State> stream;
   for (std::size_t k = 0; k < 512; ++k) stream.push_back(qr(u(rng) < 0.95, u(rng) < 0.02));
 
-  std::vector<engine::MonitorJob> jobs;
-  jobs.push_back({&spec, {}, Monitor::Mode::Incremental});
-  jobs.push_back({&spec, {}, Monitor::Mode::Scratch});
-  jobs.push_back({&spec, {}, Monitor::Mode::Incremental});
-  jobs.push_back({&spec, {}, Monitor::Mode::Scratch});
-
-  std::vector<std::vector<CheckResult>> reference;
+  const std::vector<Mode> modes = {Mode::Incremental, Mode::Scratch, Mode::Incremental,
+                                   Mode::Scratch};
+  std::vector<CheckResult> ref_inc;
+  std::vector<CheckResult> ref_scratch;
   {
-    engine::Options opts;
-    opts.num_threads = 1;
-    opts.obligation_gc_fraction = 0.05;
-    engine::BatchMonitor fleet(jobs, opts);
+    Monitor inc(spec, {}, Mode::Incremental);
+    Monitor scratch(spec, {}, Mode::Scratch);
+    inc.set_gc_fraction(0.05);
+    scratch.set_gc_fraction(0.05);
     for (const State& s : stream) {
-      const auto& v = fleet.feed(s);
-      ASSERT_EQ(v.size(), jobs.size());
-      for (std::size_t j = 1; j < v.size(); ++j) {
-        ASSERT_EQ(v[j].ok, v[0].ok) << "job " << j;
-        ASSERT_EQ(v[j].failed, v[0].failed) << "job " << j;
-      }
-      reference.push_back(v);
+      ref_inc.push_back(inc.append(s));
+      ref_scratch.push_back(scratch.append(s));
     }
   }
-  for (const std::size_t threads : {2u, 4u}) {
+  for (const std::size_t threads : {1u, 2u, 4u}) {
     engine::Options opts;
     opts.num_threads = threads;
+    opts.max_epoch_batch = 1;
     opts.obligation_gc_fraction = 0.05;
-    engine::BatchMonitor fleet(jobs, opts);
-    std::size_t k = 0;
-    for (const State& s : stream) {
-      const auto& v = fleet.feed(s);
+    engine::MonitorService service(opts);
+    for (const Mode mode : modes) service.register_spec(spec, {}, mode);
+    for (const State& s : stream) service.append(s);
+    service.flush();
+    const std::vector<engine::VerdictRow> rows = service.drain();
+    ASSERT_EQ(rows.size(), stream.size()) << "threads " << threads;
+    for (std::size_t k = 0; k < rows.size(); ++k) {
+      const auto& v = rows[k].verdicts;
+      ASSERT_EQ(v.size(), modes.size());
       for (std::size_t j = 0; j < v.size(); ++j) {
-        ASSERT_EQ(v[j].ok, reference[k][j].ok) << "threads " << threads << " state " << k;
-        ASSERT_EQ(v[j].failed, reference[k][j].failed) << "threads " << threads << " state " << k;
+        const CheckResult& want = modes[j] == Mode::Incremental ? ref_inc[k] : ref_scratch[k];
+        ASSERT_EQ(v[j].result.ok, want.ok) << "threads " << threads << " state " << k;
+        ASSERT_EQ(v[j].result.failed, want.failed) << "threads " << threads << " state " << k;
       }
-      ++k;
     }
+    // The soak provably ran with GC armed.
+    EXPECT_GT(service.stats().totals.gc_sweeps, 0u) << "threads " << threads;
   }
 }
 

@@ -18,8 +18,11 @@
 // stream, whatever the fleet size.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <deque>
+#include <random>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -539,6 +542,136 @@ TEST(ServiceBatch, WindowLifecyclesMatchStandaloneMonitors) {
   }
 }
 
+/// One simulator run for the generated schedules: the mutex, AB-protocol
+/// and arbiter simulators in turn, correct and misbehaving alternately,
+/// each with the specs that watch it.
+struct GeneratedRun {
+  std::vector<Spec> specs;
+  Trace trace;
+};
+
+GeneratedRun generated_run(std::uint64_t seed) {
+  GeneratedRun out;
+  const bool buggy = (seed / 3) % 2 == 1;
+  switch (seed % 3) {
+    case 0: {
+      sys::MutexRunConfig mc;
+      mc.seed = seed;
+      mc.entries = 3;
+      out.specs.push_back(sys::mutex_spec(3));
+      out.trace = buggy ? sys::run_mutex_buggy(mc) : sys::run_mutex(mc);
+      break;
+    }
+    case 1: {
+      sys::AbRunConfig ac;
+      ac.seed = seed;
+      ac.messages = 3;
+      ac.max_steps = 100;  // the stuck-bit run never finishes on its own
+      out.specs.push_back(sys::ab_sender_spec(domain(3)));
+      out.specs.push_back(sys::ab_receiver_spec(domain(3)));
+      out.trace = buggy ? sys::run_ab_protocol_stuck_bit(ac).trace : sys::run_ab_protocol(ac).trace;
+      break;
+    }
+    default: {
+      sys::ArbiterRunConfig arc;
+      arc.seed = seed;
+      arc.grants = 4;
+      out.specs.push_back(sys::arbiter_spec());
+      out.trace = buggy ? sys::run_arbiter_buggy(arc) : sys::run_arbiter(arc);
+      break;
+    }
+  }
+  return out;
+}
+
+/// Generated register/retire schedules: per seed, a simulator run and a
+/// random set of monitor windows [join, leave) — mixed specs and modes,
+/// overlapping, some open to the end — enqueued around the run's appends
+/// while the coordinator is paused, under a batch size, shard count and
+/// pool width drawn from {1, 7, 32} x {1, 3} x {1, 2, 4}.  Every window's
+/// rows must equal a standalone monitor fed the same [join, leave) states.
+TEST(ServiceBatch, GeneratedSchedulesMatchStandaloneMonitors) {
+  using Mode = Monitor::Mode;
+  struct Window {
+    std::size_t spec = 0;
+    Mode mode = Mode::Incremental;
+    std::size_t join = 0;
+    std::size_t leave = 0;  ///< n = retired after the last state
+    MonitorId id = 0;
+    std::vector<CheckResult> reference;
+  };
+  constexpr std::size_t kBatches[] = {1, 7, 32};
+  constexpr std::size_t kShards[] = {1, 3};
+  constexpr std::size_t kWidths[] = {1, 2, 4};
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    std::mt19937_64 rng(seed);
+    const GeneratedRun gen = generated_run(seed);
+    const Trace& run = gen.trace;
+    const std::size_t n = run.size();
+    ASSERT_GE(n, 2u) << "seed " << seed;
+    const std::size_t batch = kBatches[rng() % 3];
+    const std::size_t shards = kShards[rng() % 2];
+    const std::size_t threads = kWidths[rng() % 3];
+    const std::string label = "seed " + std::to_string(seed) + " batch " +
+                              std::to_string(batch) + " shards " + std::to_string(shards) +
+                              " threads " + std::to_string(threads);
+
+    std::vector<Window> windows(4 + rng() % 7);
+    for (Window& w : windows) {
+      w.spec = rng() % gen.specs.size();
+      w.mode = rng() % 3 == 0 ? Mode::Scratch : Mode::Incremental;
+      w.join = rng() % n;
+      w.leave = rng() % 3 == 0 ? n : w.join + 1 + rng() % (n - w.join);
+      w.reference = standalone(gen.specs[w.spec], w.mode, run, w.join, w.leave);
+    }
+
+    Options opts;
+    opts.num_threads = threads;
+    opts.num_shards = shards;
+    opts.max_epoch_batch = batch;
+    opts.queue_capacity = n + 2 * windows.size() + 8;
+    MonitorService service(opts);
+    const StreamId stream = service.open_stream("generated");
+    service.pause();
+    for (std::size_t k = 0; k <= n; ++k) {
+      for (const Window& w : windows) {
+        if (w.leave == k) service.retire(w.id);
+      }
+      for (Window& w : windows) {
+        if (w.join == k) w.id = service.register_spec(stream, gen.specs[w.spec], {}, w.mode);
+      }
+      if (k < n) service.append(stream, run.states()[k]);
+    }
+    service.resume();
+    service.flush();
+
+    const std::vector<VerdictRow> rows = service.drain();
+    ASSERT_EQ(rows.size(), n) << label;
+    for (std::size_t k = 0; k < n; ++k) {
+      const std::string at = label + " seq " + std::to_string(k);
+      ASSERT_EQ(rows[k].stream, stream) << at;
+      ASSERT_EQ(rows[k].seq, k) << at;
+      std::vector<const Window*> live;
+      for (const Window& w : windows) {
+        if (w.join <= k && k < w.leave) live.push_back(&w);
+      }
+      std::sort(live.begin(), live.end(),
+                [](const Window* a, const Window* b) { return a->id < b->id; });
+      ASSERT_EQ(rows[k].verdicts.size(), live.size()) << at;
+      for (std::size_t j = 0; j < live.size(); ++j) {
+        ASSERT_EQ(rows[k].verdicts[j].id, live[j]->id) << at;
+        ASSERT_FALSE(rows[k].faulted_at(j)) << at;
+        expect_same_result(rows[k].verdicts[j], live[j]->reference[k - live[j]->join],
+                           at + " monitor " + std::to_string(live[j]->id));
+      }
+    }
+
+    // Every window has closed, so the stream stores nothing.
+    EXPECT_EQ(service.stats().stream_trace_bytes[stream], 0u) << label;
+    EXPECT_EQ(service.stats().retire_misses, 0u) << label;
+  }
+}
+
 TEST(ServiceBatch, TraceBytesCountTheStoreOncePerStream) {
   const Spec spec = sys::mutex_spec(3);
   sys::MutexRunConfig mc;
@@ -575,16 +708,6 @@ TEST(ServiceBatch, TraceBytesCountTheStoreOncePerStream) {
   const std::size_t one = stream_bytes(1);
   EXPECT_GE(one, run.size() * sizeof(State));
   EXPECT_EQ(stream_bytes(16), one);
-
-  // BatchMonitor keeps one trace for its fleet too.
-  const std::vector<Spec> one_spec(1, spec);
-  const std::vector<Spec> sixteen(16, spec);
-  engine::BatchMonitor single(engine::jobs_for_specs(one_spec));
-  engine::BatchMonitor fleet(engine::jobs_for_specs(sixteen));
-  single.feed_all(run);
-  fleet.feed_all(run);
-  EXPECT_GT(single.stream_stats().trace_bytes, 0u);
-  EXPECT_EQ(fleet.stream_stats().trace_bytes, single.stream_stats().trace_bytes);
 }
 
 }  // namespace
