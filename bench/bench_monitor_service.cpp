@@ -20,7 +20,14 @@
 //                                 per-state epochs, B=32 folds the whole
 //                                 burst into one multi-state epoch.  The
 //                                 queue is loaded while paused so the block
-//                                 shape is deterministic, not a race.
+//                                 shape is deterministic, not a race.  The
+//                                 iteration count is pinned per fleet size
+//                                 (kBatchIterations): every iteration
+//                                 appends 32 more states to the same
+//                                 resident monitors, so the cost of an
+//                                 iteration moves with the count, and arms
+//                                 whose counts a min_time picked
+//                                 independently would not do the same work.
 //
 // CI asserts feed_parked < feed_spawn at 4 threads, and batched (B=32)
 // >= per-state (B=1) states/s at every fleet size, from the emitted JSON
@@ -60,6 +67,12 @@ Trace mutex_run(std::size_t entries) {
 
 constexpr std::size_t kFleet = 16;   ///< monitors per feed benchmark
 constexpr std::size_t kBlock = 32;   ///< timed states per iteration
+/// Timed bursts per repetition of bench_service_batch_ingest, for fleets of
+/// 10^2 and 10^3 monitors.  A 10^4 fleet runs kLargeFleetIterations: one of
+/// its bursts already takes seconds, and its obligation graphs grow by about
+/// 0.5 GB per burst while they fill, so 20 would need gigabytes.
+constexpr int kBatchIterations = 20;
+constexpr int kLargeFleetIterations = 2;
 
 /// The feed benchmarks monitor one cheap safety axiom: the point is the
 /// fan-out cost per state (wake + drain vs spawn + join), so the per-monitor
@@ -188,8 +201,12 @@ BENCHMARK(bench_service_batch_ingest)
     ->Args({100, 32})
     ->Args({1000, 1})
     ->Args({1000, 32})
+    ->Iterations(kBatchIterations)
+    ->UseRealTime();
+BENCHMARK(bench_service_batch_ingest)
     ->Args({10000, 1})
     ->Args({10000, 32})
+    ->Iterations(kLargeFleetIterations)
     ->UseRealTime();
 
 BENCHMARK_MAIN();

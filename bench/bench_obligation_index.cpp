@@ -9,8 +9,10 @@
 //
 // CI asserts from the emitted JSON that the append time stays flat
 // (<= 1.25x from 1e3 to 1e5), that an epoch seeds at most 8 obligations
-// on average (obligation_touched on the 2e4 case), and that the graph's
-// resident count stays tiny (obligation_entries <= 64).
+// on average (obligation_touched on the 2e4 case), that the graph's
+// resident count stays tiny (obligation_entries <= 64), and that the
+// settled cache is flat in trace length too (memo_entries <= 1.25x from
+// 1e3 to 1e5).
 #include <benchmark/benchmark.h>
 
 #include <cstddef>
@@ -19,6 +21,7 @@
 #include "core/ast.h"
 #include "core/check.h"
 #include "core/monitor.h"
+#include "core/parser.h"
 
 namespace {
 
@@ -28,13 +31,17 @@ using namespace il;
 /// event search ([]q relocates on every !q pulse) and whose body <>r stays
 /// open forever.  The open suffix is bounded by the pulse period no matter
 /// how long the trace grows, so a flat-per-append invalidation pass shows
-/// up as flat wall time across trace lengths.
+/// up as flat wall time across trace lengths.  The second axiom is a
+/// per-state invariant whose quantified body reads only its own state: it
+/// settles at once, storing one settled-cache entry per position, which the
+/// cache's horizon window (Monitor::kSettledWindow) must age out.
 Spec index_spec() {
   Spec spec;
   spec.name = "steady";
   spec.axioms.push_back(
       {"tail", f::interval(t::fwd(t::event(f::always(f::atom("q"))), nullptr),
                            f::eventually(f::atom("r")))});
+  spec.axioms.push_back({"boolean_q", parse_formula("[] exists a in {0,1} . q = $a")});
   return spec;
 }
 
@@ -88,6 +95,7 @@ void steady_state_append(benchmark::State& state, const Spec& spec) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * kBlock));
   const ObligationGraph& g = m.obligations();
   state.counters["obligation_entries"] = static_cast<double>(g.size());
+  state.counters["memo_entries"] = static_cast<double>(m.cache().size());
   if (g.index_stabs() > 0) {
     state.counters["obligation_touched"] =
         static_cast<double>(g.touched_total()) / static_cast<double>(g.index_stabs());

@@ -11,8 +11,10 @@
 //     any interval: the answer reads only positions at or below the current
 //     horizon, which appends never change.  These queries run through a
 //     plain Evaluator backed by the monitor's settled EvalCache, keyed by
-//     the window's *stable* lineage id: every entry is valid forever, so
-//     the cache is never evicted while the window only grows.
+//     the window's *stable* lineage id: no append invalidates an entry, so
+//     the monitor evicts only by age — entries starting more than
+//     Monitor::kSettledWindow positions below the horizon, which verdicts
+//     no longer re-read (core/monitor.h).
 //
 //   - OPEN WORLD — a suffix-sensitive node over <lo, inf>: the answer may
 //     change as states arrive.  Each such query is an obligation in the
@@ -75,8 +77,8 @@ class IncrementalEvaluator {
   /// to per-state epochs: resume state (frontiers, open positions, rolling
   /// probes) evolves through the same horizon sequence either way.  The
   /// closed-world delegate needs no override — settled results are
-  /// horizon-invariant by construction (that is what lets the settled cache
-  /// live forever under appends).
+  /// horizon-invariant by construction (that is what lets settled entries
+  /// survive appends).
   IncrementalEvaluator(const TraceWindow& trace, ObligationGraph* graph,
                        EvalCache* settled_cache, std::uint64_t horizon);
 

@@ -90,13 +90,52 @@ void EvalCache::grow() {
 
 void EvalCache::evict_entries() {
   std::fill(slots_.begin(), slots_.end(), Slot{});
+  evicted_ += count_;
   count_ = 0;
+}
+
+void EvalCache::evict_below(std::uint64_t lo) {
+  if (count_ == 0) return;
+  // Walk the table once around, starting just past a slot that is empty
+  // before the sweep: no probe run crosses that slot, so the walk meets
+  // every run from its first slot on.  Entries below `lo` are dropped.  A
+  // survivor behind a slot this sweep vacated in the same run is lifted out
+  // and re-probed: it lands at the first free slot from its home, at or
+  // before where it stood, and later moves only vacate slots further along.
+  // So every run is again gap-free from each entry's home to its slot,
+  // which is all linear probing needs.  A survivor with no vacated slot
+  // before it in its run keeps its place without rehashing.
+  std::size_t empty = 0;
+  while (slots_[empty].used) ++empty;  // the load factor keeps one free
+  std::size_t dropped = 0;
+  bool vacated = false;  ///< this sweep freed a slot of the current run
+  for (std::size_t i = (empty + 1) & mask_; i != empty; i = (i + 1) & mask_) {
+    Slot& slot = slots_[i];
+    if (!slot.used) {  // was empty before the sweep: a run ends here
+      vacated = false;
+      continue;
+    }
+    if (slot.key.lo < lo) {
+      slot.used = false;
+      vacated = true;
+      ++dropped;
+      continue;
+    }
+    if (!vacated) continue;
+    slot.used = false;
+    const std::size_t to = probe(slot.key);
+    if (to != i) slots_[to] = slot;
+    slots_[to].used = true;
+  }
+  count_ -= dropped;
+  evicted_ += dropped;
 }
 
 void EvalCache::release() {
   slots_.clear();
   slots_.shrink_to_fit();
   mask_ = 0;
+  evicted_ += count_;
   count_ = 0;
 }
 
@@ -109,6 +148,7 @@ void EvalCache::clear() {
   misses_ = 0;
   inserts_ = 0;
   env_overflows_ = 0;
+  evicted_ = 0;
 }
 
 bool restrict_env_span(const std::vector<std::uint32_t>& metas, const Env& env,

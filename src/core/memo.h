@@ -80,8 +80,10 @@ class EvalCache {
   /// are updated either way.  The pointer is invalidated by the next store().
   const Entry* lookup(const Key& key);
 
-  /// Stores `entry`; no-op once the soft capacity is reached (the cache
-  /// never evicts — batch lifetimes are short and bounded).
+  /// Stores `entry`; no-op once the soft capacity is reached.  store()
+  /// itself never evicts: batch lifetimes are short and bounded, and a
+  /// long-lived owner drops what it can no longer read with evict_below()
+  /// or evict_entries().
   void store(const Key& key, const Entry& entry);
 
   void clear();
@@ -93,6 +95,13 @@ class EvalCache {
   /// accumulating toward the capacity cap.
   void evict_entries();
 
+  /// Drops every entry whose key starts below `lo` (key.lo < lo) in one
+  /// in-place sweep of the table: no reallocation, and the lifetime
+  /// counters are kept.  For the incremental monitor's settled cache
+  /// (core/monitor.h), which keeps only a window of positions below its
+  /// horizon.  Invalidates pointers returned by lookup().
+  void evict_below(std::uint64_t lo);
+
   /// Frees the slot table itself (unlike evict_entries(), which keeps the
   /// allocation) while preserving the lifetime counters (unlike clear(),
   /// which resets them).  For resource-budget enforcement: demoting or
@@ -103,6 +112,9 @@ class EvalCache {
   std::size_t misses() const { return misses_; }
   std::size_t inserts() const { return inserts_; }
   std::size_t env_overflows() const { return env_overflows_; }
+  /// Entries dropped by evict_below(), evict_entries() and release()
+  /// (lifetime): inserts() == size() + evicted() until the next clear().
+  std::size_t evicted() const { return evicted_; }
   std::size_t size() const { return count_; }
 
   /// Bytes held by the slot table (gauge; capacity, not load, since the
@@ -135,6 +147,7 @@ class EvalCache {
   std::size_t misses_ = 0;
   std::size_t inserts_ = 0;
   std::size_t env_overflows_ = 0;
+  std::size_t evicted_ = 0;
 };
 
 /// Restricts the ambient bindings to a node's free metas (both sides sorted

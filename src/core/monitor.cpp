@@ -109,8 +109,15 @@ void Monitor::sync_incremental_epoch() const {
   // since the last epoch is exactly the states past synced_.
   if (window_.size() != synced_) {
     // Epoch boundary: no evaluation in flight, so this is the one safe spot
-    // for an automatic mark-and-sweep (pacing in ObligationGraph::maybe_gc).
+    // for an automatic mark-and-sweep (pacing in ObligationGraph::maybe_gc)
+    // and for the settled-cache window.  This epoch's verdicts read
+    // horizons synced_ and up, so entries starting more than kSettledWindow
+    // below synced_ go.
     graph_.maybe_gc();
+    if (synced_ >= swept_ + kSettledWindow) {
+      cache_.evict_below(synced_ - kSettledWindow);
+      swept_ = synced_;
+    }
     // One epoch per verdict refresh (several states between verdicts fold
     // into one invalidation pass; the scan frontiers cover the gap).
     graph_.begin_epoch(window_.last_index());
@@ -124,8 +131,6 @@ std::size_t Monitor::gc_obligations() {
 }
 
 void Monitor::set_gc_fraction(double fraction) { graph_.set_gc_fraction(fraction); }
-
-void Monitor::set_cache_capacity(std::size_t cap) { cache_.set_capacity(cap); }
 
 void Monitor::reserve(std::size_t states) {
   if (own_ != nullptr) own_->reserve(states);

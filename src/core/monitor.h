@@ -20,10 +20,15 @@
 //   exactly those.  Work per append is proportional to the live suffix
 //   (pending response obligations + newly arrived states), not the trace
 //   length; verdicts for closed intervals are pinned and never recomputed.
-//   The monitor keeps two stores for the whole lifetime: a settled
-//   EvalCache (closed-world results, keyed by the window's stable lineage
-//   id, valid forever under appends) and the ObligationGraph (open-world
-//   state).  append() is the natural driver: observe + delta verdict in one
+//   The monitor keeps two stores: a settled EvalCache (closed-world
+//   results, keyed by the window's stable lineage id) and the
+//   ObligationGraph (open-world state).  A settled entry never goes stale
+//   under appends, but the verdicts only re-read entries near the horizon,
+//   so the cache keeps a window of them: once every kSettledWindow
+//   positions of horizon progress, the entries starting more than
+//   kSettledWindow positions below the horizon are evicted (a dropped
+//   entry that is ever needed again is recomputed, bit-identically).
+//   append() is the natural entry point: observe + delta verdict in one
 //   call.
 //
 //   Mode::Scratch — the reference semantics, and the one oracle the
@@ -78,6 +83,14 @@ class Monitor {
     Scratch,      ///< full re-evaluation per verdict (reference semantics)
   };
 
+  /// Incremental mode's settled-cache window, in positions: at the first
+  /// epoch boundary after every kSettledWindow positions of horizon
+  /// progress, entries whose interval starts more than kSettledWindow
+  /// positions below the epoch's lowest verdict horizon are evicted.  So
+  /// the cache holds at most about 2 * kSettledWindow positions' entries
+  /// however long the monitor runs.
+  static constexpr std::size_t kSettledWindow = 64;
+
   /// A standalone monitor: owns the trace it reads, fed by append().
   explicit Monitor(Spec spec, Env env = {}, Mode mode = Mode::Incremental);
 
@@ -129,8 +142,9 @@ class Monitor {
 
   /// The monitor-lifetime memoization cache.  Scratch mode: entries are
   /// invalidated by trace identity.  Incremental mode: the settled
-  /// closed-world store — entries are valid forever while the trace only
-  /// grows, so hits accumulate across appends.
+  /// closed-world store — entries stay valid while the trace only grows,
+  /// and those starting within kSettledWindow positions of the horizon
+  /// survive appends; older ones are evicted (evicted() counts them).
   const EvalCache& cache() const { return cache_; }
 
   /// Incremental mode's open-world store (empty in scratch mode).
@@ -140,10 +154,6 @@ class Monitor {
   /// that append a known number of states and must not pay reallocation
   /// mid-loop).  A stream monitor's storage belongs to the stream's owner.
   void reserve(std::size_t states);
-
-  /// Soft cap on settled-cache entries (EvalCache::set_capacity): bounds the
-  /// closed-world store of a long-lived monitor.  0 = unlimited.
-  void set_cache_capacity(std::size_t cap);
 
   // -- resource-budget hooks (engine/service.h degradation ladder) ---------
 
@@ -193,6 +203,7 @@ class Monitor {
   mutable std::uint32_t cache_window_id_ = 0;  ///< scratch: window id the cache was filled under
   mutable ObligationGraph graph_;
   mutable std::size_t synced_ = 0;  ///< window size at the last incremental epoch
+  mutable std::size_t swept_ = 0;   ///< synced_ at the last settled-cache sweep
 };
 
 }  // namespace il

@@ -162,6 +162,7 @@ enum class CounterKind : std::uint8_t { Gauge, Lifetime };
   X(memo_hits, memo, hits, Lifetime, m.cache().hits())                                     \
   X(memo_misses, memo, misses, Lifetime, m.cache().misses())                               \
   X(memo_inserts, memo, inserts, Lifetime, m.cache().inserts())                            \
+  X(memo_evicted, memo, evicted, Lifetime, m.cache().evicted())                            \
   X(memo_entries, memo, entries, Gauge, m.cache().size())                                  \
   X(memo_bytes, memo, bytes, Gauge, m.cache().bytes())                                     \
   X(obligation_entries, obligation, entries, Gauge, m.obligations().size())                \

@@ -246,6 +246,63 @@ TEST(EvalCache, CapacityIsASoftCap) {
   EXPECT_EQ(cache.size(), 10u);
 }
 
+/// evict_below() sweeps the table in place: entries starting below the
+/// bound are gone, every later one is still findable, the table keeps its
+/// size, and the lifetime counters carry on.  The table is loaded close to
+/// its 70% growth point, so probe runs are long and wrap around its end.
+TEST(EvalCache, EvictBelowKeepsLaterEntriesFindableInPlace) {
+  const auto key_at = [](std::uint64_t lo, std::uint32_t node) {
+    EvalCache::Key k;
+    k.node = node;
+    k.trace = 2;
+    k.lo = lo;
+    k.hi = lo + 3;
+    return k;
+  };
+  EvalCache cache;
+  constexpr std::uint64_t kPositions = 350;  // two keys each: 700 of 1024 slots
+  for (std::uint64_t lo = 0; lo < kPositions; ++lo) {
+    for (std::uint32_t node = 0; node < 2; ++node) {
+      EvalCache::Entry e;
+      e.lo = lo;
+      e.hi = node;
+      e.null = false;
+      cache.store(key_at(lo, node), e);
+    }
+  }
+  ASSERT_EQ(cache.size(), 2 * kPositions);
+  const std::size_t bytes = cache.bytes();
+  const std::size_t inserts = cache.inserts();
+
+  std::uint64_t bound = 0;
+  for (const std::uint64_t next : {100u, 101u, 240u, 349u, 350u}) {
+    bound = next;
+    cache.evict_below(bound);
+    EXPECT_EQ(cache.size(), 2 * (kPositions - bound)) << bound;
+    EXPECT_EQ(cache.evicted(), 2 * bound) << bound;
+    EXPECT_EQ(cache.bytes(), bytes) << "the sweep reallocated";
+    EXPECT_EQ(cache.inserts(), inserts);
+    for (std::uint64_t lo = 0; lo < kPositions; ++lo) {
+      for (std::uint32_t node = 0; node < 2; ++node) {
+        const EvalCache::Entry* e = cache.lookup(key_at(lo, node));
+        if (lo < bound) {
+          EXPECT_EQ(e, nullptr) << "lo " << lo << " survived evict_below(" << bound << ")";
+        } else {
+          ASSERT_NE(e, nullptr) << "lo " << lo << " lost by evict_below(" << bound << ")";
+          EXPECT_EQ(e->lo, lo);
+          EXPECT_EQ(e->hi, node);
+        }
+      }
+    }
+  }
+  // Emptied by the sweeps, the table still takes new entries.
+  EvalCache::Entry e;
+  cache.store(key_at(5, 0), e);
+  EXPECT_NE(cache.lookup(key_at(5, 0)), nullptr);
+  EXPECT_EQ(cache.size(), 1u);
+  EXPECT_EQ(cache.evicted(), 2 * kPositions);
+}
+
 TEST(Trace, IdChangesOnMutationAndCopy) {
   TraceBuilder tb;
   tb.set("x", 1);

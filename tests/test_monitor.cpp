@@ -1,8 +1,19 @@
 // Tests for the online runtime monitor.
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <cstdint>
+#include <deque>
+#include <functional>
+#include <vector>
+
 #include "core/monitor.h"
 #include "core/parser.h"
+#include "systems/ab_protocol.h"
+#include "systems/arbiter.h"
+#include "systems/mutex.h"
+#include "systems/queue_system.h"
+#include "systems/selftimed.h"
 
 namespace il {
 namespace {
@@ -133,16 +144,168 @@ TEST(Monitor, IncrementalSettlesAndPinsObligations) {
 }
 
 TEST(Monitor, IncrementalSettledCacheSurvivesAppends) {
-  // The closed-world cache is keyed by the stable lineage id: appends never
-  // evict it, so resident entries only grow.
-  Monitor m(simple_spec());
-  m.append(st(false, false, true, true));
-  m.append(st(true, false, true, true));
-  const std::size_t entries_two = m.cache().size();
-  m.append(st(true, true, true, true));
-  EXPECT_GE(m.cache().size(), entries_two);
+  // The closed-world cache is keyed by the stable lineage id, so appends
+  // never invalidate it; entries only age out of the horizon window.
+  // Entries starting at or above horizon - kSettledWindow survive appends:
+  // through the first window, resident entries only grow.
+  constexpr std::size_t kW = Monitor::kSettledWindow;
+  const auto state_at = [](std::size_t k) {
+    return st(k % 5 == 1, k % 5 == 3, k % 7 != 0, k % 2 == 0);
+  };
+  // One settled-cache entry per start position: every <> runs over the
+  // finite interval up to the next cs.
+  Spec spec = simple_spec();
+  spec.axioms.push_back({"settled", parse_formula("[] [ => cs ] <> cs")});
+  Monitor m(spec);
+  std::size_t entries = 0;
+  for (std::size_t k = 0; k <= kW; ++k) {
+    m.append(state_at(k));
+    EXPECT_GE(m.cache().size(), entries) << "state " << k;
+    entries = m.cache().size();
+  }
+  EXPECT_EQ(m.cache().evicted(), 0u);
   // And the obligation graph saw one invalidation pass per append epoch.
-  EXPECT_EQ(m.obligations().epoch(), 3u);
+  EXPECT_EQ(m.obligations().epoch(), kW + 1);
+
+  // Older entries are evicted.  A sweep runs every kSettledWindow states,
+  // and an entry stored at horizon h starts at or below h, so whatever was
+  // stored before the last 2 * kSettledWindow appends is gone by the end.
+  constexpr std::size_t kTotal = 8 * kW;
+  std::size_t inserts_before_last_two = 0;
+  for (std::size_t k = kW + 1; k < kTotal; ++k) {
+    if (k == kTotal - 2 * kW) inserts_before_last_two = m.cache().inserts();
+    m.append(state_at(k));
+  }
+  EXPECT_GT(m.cache().evicted(), 0u);
+  EXPECT_LE(m.cache().size(), m.cache().inserts() - inserts_before_last_two);
+  EXPECT_EQ(m.cache().inserts() - m.cache().evicted(), m.cache().size());
+  EXPECT_EQ(m.obligations().epoch(), kTotal);
+}
+
+std::vector<std::int64_t> domain(std::size_t n) {
+  std::vector<std::int64_t> d;
+  for (std::size_t i = 1; i <= n; ++i) d.push_back(static_cast<std::int64_t>(i));
+  return d;
+}
+
+/// Every case-study spec paired with a good and a misbehaving run of at
+/// least `states` states (runs of further seeds are concatenated until the
+/// stream is long enough), so that a monitor fed the whole stream crosses
+/// several settled-cache windows (Monitor::kSettledWindow).
+struct LongStreamCases {
+  std::deque<Spec> specs;
+  std::vector<const Spec*> spec_of;
+  std::vector<std::vector<State>> streams;
+
+  explicit LongStreamCases(std::size_t states) {
+    using Run = std::function<Trace(std::uint64_t seed)>;
+    const auto add = [&](const Spec* spec, const Run& run) {
+      std::vector<State> out;
+      for (std::uint64_t seed = 1; out.size() < states; ++seed) {
+        const Trace t = run(seed);
+        out.insert(out.end(), t.states().begin(), t.states().end());
+      }
+      out.resize(states);
+      streams.push_back(std::move(out));
+      spec_of.push_back(spec);
+    };
+    specs.push_back(sys::mutex_spec(3));
+    for (const bool buggy : {false, true}) {
+      add(&specs.back(), [&](std::uint64_t seed) {
+        sys::MutexRunConfig c;
+        c.seed = seed;
+        c.entries = states;
+        c.max_steps = states;
+        return buggy ? sys::run_mutex_buggy(c) : sys::run_mutex(c);
+      });
+    }
+    specs.push_back(sys::queue_spec(domain(3)));
+    for (const bool buggy : {false, true}) {
+      add(&specs.back(), [&](std::uint64_t seed) {
+        sys::QueueRunConfig c;
+        c.seed = seed;
+        c.values = states;
+        c.max_steps = states;
+        return buggy ? sys::run_swapping_queue(c) : sys::run_fifo_queue(c);
+      });
+    }
+    specs.push_back(sys::ab_sender_spec(domain(3)));
+    for (const bool buggy : {false, true}) {
+      add(&specs.back(), [&](std::uint64_t seed) {
+        sys::AbRunConfig c;
+        c.seed = seed;
+        c.messages = states;
+        c.max_steps = states;
+        return (buggy ? sys::run_ab_protocol_stuck_bit(c) : sys::run_ab_protocol(c)).trace;
+      });
+    }
+    specs.push_back(sys::request_ack_spec());
+    for (const bool buggy : {false, true}) {
+      add(&specs.back(), [&](std::uint64_t seed) {
+        sys::SelfTimedRunConfig c;
+        c.seed = seed;
+        c.handshakes = states;
+        c.max_steps = states;
+        return buggy ? sys::run_request_ack_buggy(c) : sys::run_request_ack(c);
+      });
+    }
+    specs.push_back(sys::arbiter_spec());
+    for (const bool buggy : {false, true}) {
+      add(&specs.back(), [&](std::uint64_t seed) {
+        sys::ArbiterRunConfig c;
+        c.seed = seed;
+        c.grants = states;
+        c.max_steps = states;
+        return buggy ? sys::run_arbiter_buggy(c) : sys::run_arbiter(c);
+      });
+    }
+  }
+};
+
+/// The settled cache evicts by age (Monitor::kSettledWindow): over streams
+/// of 4 windows, where every case's sweeps evict entries for real, the
+/// incremental verdicts stay bit-identical to Scratch at every prefix,
+/// per-state and in 32-state blocks (the service's default epoch batch: one
+/// sweep check per block, whose verdicts read virtual horizons).  And the
+/// window bounds the cache: at the end it holds no more than what the last
+/// 2 windows' appends stored (how many entries a window holds varies 4x
+/// along the mutex run, so the bound counts stores rather than comparing
+/// sizes).  Single-threaded, so it lives here rather than in the
+/// ThreadSanitizer-run suites, where its Scratch oracle would be slow.
+TEST(MonitorIncremental, BitIdenticalToScratchAcrossSettledWindowSweeps) {
+  constexpr std::size_t kW = Monitor::kSettledWindow;
+  constexpr std::size_t kStates = 4 * kW;
+  constexpr std::size_t kBlock = 32;
+  const LongStreamCases cases(kStates);
+  for (std::size_t c = 0; c < cases.streams.size(); ++c) {
+    const Spec& spec = *cases.spec_of[c];
+    const std::vector<State>& run = cases.streams[c];
+    Monitor inc(spec);
+    Monitor blocks(spec);
+    Monitor scratch(spec, {}, Monitor::Mode::Scratch);
+    std::vector<CheckResult> block_out(kBlock);
+    std::size_t inserts_before_last_two = 0;
+    for (std::size_t k = 0; k < run.size(); ++k) {
+      if (k == run.size() - 2 * kW) inserts_before_last_two = inc.cache().inserts();
+      const CheckResult from_inc = inc.append(run[k]);
+      const CheckResult from_scratch = scratch.append(run[k]);
+      ASSERT_EQ(from_inc.ok, from_scratch.ok) << "case " << c << " prefix " << k;
+      ASSERT_EQ(from_inc.failed, from_scratch.failed) << "case " << c << " prefix " << k;
+      if (k % kBlock == kBlock - 1) {
+        std::vector<const State*> block;
+        for (std::size_t j = k + 1 - kBlock; j <= k; ++j) block.push_back(&run[j]);
+        blocks.append_block(block.data(), block.size(), block_out.data());
+        ASSERT_EQ(block_out.back().ok, from_scratch.ok) << "case " << c << " prefix " << k;
+        ASSERT_EQ(block_out.back().failed, from_scratch.failed)
+            << "case " << c << " prefix " << k;
+      }
+    }
+    EXPECT_GT(inc.cache().evicted(), 0u) << "case " << c << ": no sweep evicted an entry";
+    EXPECT_LE(inc.cache().size(), inc.cache().inserts() - inserts_before_last_two)
+        << "case " << c << ": entries stored before the last two windows survived";
+    EXPECT_EQ(inc.cache().inserts() - inc.cache().evicted(), inc.cache().size())
+        << "case " << c;
+  }
 }
 
 }  // namespace

@@ -305,6 +305,7 @@ TEST(MonitorService, GoldenDumpOfFreshService) {
     expected += p + ".memo.hits 0\n";
     expected += p + ".memo.misses 0\n";
     expected += p + ".memo.inserts 0\n";
+    expected += p + ".memo.evicted 0\n";
     expected += p + ".memo.entries 0\n";
     expected += p + ".memo.bytes 0\n";
     expected += p + ".obligation.entries 0\n";

@@ -304,15 +304,20 @@ TEST(ObligationIndex, SoakPoolWidthsAreDeterministicUnderGc) {
   }
 }
 
-/// Satellite 3 (footprint half): with the settled cache capped and GC
-/// armed, a long-lived monitor's evaluation-store footprint plateaus — the
-/// max over the final quarter of the run stays within 1.5x the max over the
-/// second quarter, instead of tracking the trace length.
+/// With GC armed, a long-lived monitor's evaluation-store footprint
+/// plateaus — the max over the final quarter of the run stays within 1.5x
+/// the max over the second quarter, instead of tracking the trace length.
+/// No cap is set: the settled cache is bounded by its horizon window
+/// (Monitor::kSettledWindow), the obligation graph by the sweeps.  The
+/// second axiom stores one settled entry per start position (each <> runs
+/// over the finite interval up to the next !q), so without the window the
+/// cache's table keeps doubling with the trace and this check fails.
 TEST(ObligationIndex, FootprintPlateausUnderGc) {
   std::mt19937 rng(7u);
   std::uniform_real_distribution<double> u(0.0, 1.0);
-  Monitor m(relocating_spec());
-  m.set_cache_capacity(1024);
+  Spec spec = relocating_spec();
+  spec.axioms.push_back({"settled", parse_formula("[] [ => !q ] <> !q")});
+  Monitor m(spec);
   m.set_gc_fraction(0.25);
   constexpr std::size_t kTotal = 4096;
   std::vector<std::size_t> footprint;
@@ -331,6 +336,7 @@ TEST(ObligationIndex, FootprintPlateausUnderGc) {
   const std::size_t last = quarter_max(3);
   EXPECT_LE(last, second + second / 2) << "footprint still growing after 4x the states";
   EXPECT_GT(m.obligations().gc_sweeps(), 0u);
+  EXPECT_GT(m.cache().evicted(), 0u);
 }
 
 }  // namespace

@@ -439,7 +439,9 @@ void expect_monotone(CounterRows& last, CounterRows now, const std::string& step
 }
 
 TEST(ServiceFault, LifetimeCountersAreMonotoneAcrossRetireQuarantineReinstate) {
-  constexpr std::size_t kBoom = 30;
+  // Past two settled-cache windows, so the incremental monitors' caches
+  // have evicted by the time they retire or quarantine.
+  constexpr std::size_t kBoom = 2 * Monitor::kSettledWindow + 30;
   const Trace trace = boom_trace(kBoom, 10);
   ASSERT_GT(trace.size(), kBoom + 12);
 
@@ -468,6 +470,7 @@ TEST(ServiceFault, LifetimeCountersAreMonotoneAcrossRetireQuarantineReinstate) {
   EXPECT_GT(totals.gc_sweeps, 0u);
   EXPECT_GT(totals.gc_freed, 0u);
   EXPECT_GT(totals.memo_hits, 0u);
+  EXPECT_GT(totals.memo_evicted, 0u);
 
   service.retire(first);
   service.flush();
@@ -498,6 +501,12 @@ TEST(ServiceFault, LifetimeCountersAreMonotoneDownTheBudgetLadder) {
   const Trace run = sys::run_mutex(mc);
   ASSERT_GE(run.size(), 8u);
 
+  // The mutex spec plus a per-state invariant whose quantified body stores
+  // a settled-cache entry from the first state on, so a demotion has
+  // entries to drop (counted in memo.evicted).
+  Spec spec = sys::mutex_spec(3);
+  spec.axioms.push_back({"boolean_cs1", parse_formula("[] exists a in {0,1} . cs1 = $a")});
+
   Options opts;
   opts.num_threads = 2;
   opts.num_shards = 2;
@@ -505,8 +514,8 @@ TEST(ServiceFault, LifetimeCountersAreMonotoneDownTheBudgetLadder) {
   opts.obligation_byte_budget = 1;  // always over budget: one rung per epoch
   MonitorService service(opts);
   const StreamId other = service.open_stream("other");
-  const MonitorId victim = service.register_spec(sys::mutex_spec(3));
-  const MonitorId leaver = service.register_spec(other, sys::mutex_spec(3));
+  const MonitorId victim = service.register_spec(spec);
+  const MonitorId leaver = service.register_spec(other, spec);
   service.flush();
   CounterRows last = lifetime_rows(service);
   const auto step = [&](const std::string& name) {
@@ -542,6 +551,9 @@ TEST(ServiceFault, LifetimeCountersAreMonotoneDownTheBudgetLadder) {
   EXPECT_EQ(stats.budget_gcs, 3u);  // both first epochs, and the reinstated one
   EXPECT_EQ(stats.budget_demotions, 2u);
   EXPECT_EQ(stats.budget_quarantines, 2u);
+  // Demotion released the settled caches' entries, and the evicted count
+  // survived the quarantines that followed.
+  EXPECT_GT(stats.totals.memo_evicted, 0u);
 }
 
 #ifdef IL_FAULT_INJECTION
