@@ -9,7 +9,9 @@ namespace il {
 
 namespace {
 
-constexpr std::size_t kInitialSlots = 1u << 10;
+/// First table size; grow() doubles it.  Small, because a monitor's windowed
+/// settled cache holds tens to hundreds of entries (core/monitor.h).
+constexpr std::size_t kInitialSlots = 16;
 /// Maximum load factor: the table doubles once count exceeds 70% of slots.
 constexpr std::size_t kLoadNum = 7;
 constexpr std::size_t kLoadDen = 10;

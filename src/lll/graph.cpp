@@ -1,6 +1,7 @@
 #include "lll/graph.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <stdexcept>
 
 #include "util/assert.h"
@@ -89,6 +90,15 @@ std::vector<NodeId> merge_nodes(const std::vector<NodeId>& a, const std::vector<
   out.reserve(a.size() + b.size());
   std::set_union(a.begin(), a.end(), b.begin(), b.end(), std::back_inserter(out));
   return out;
+}
+
+std::size_t saturating_add(std::size_t a, std::size_t b) {
+  const std::size_t sum = a + b;
+  return sum < a ? SIZE_MAX : sum;
+}
+
+std::size_t saturating_mul(std::size_t a, std::size_t b) {
+  return b != 0 && a > SIZE_MAX / b ? SIZE_MAX : a * b;
 }
 
 void insert_node(std::vector<NodeId>& nodes, NodeId n) {
@@ -466,13 +476,29 @@ Graph GraphBuilder::build_iter(IterKind kind, Graph a, const Graph* b) {
 
   const NodeId m0 = gp.init;
 
-  // Outgoing edges per node id (ids are pool-dense, so a flat table).
+  // Outgoing edges per node id (ids are pool-dense, so a flat table).  The
+  // non-b counts, and m0's b-side count, price the waves below: every choice
+  // tuple emits exactly one edge, so a frontier item adds the product of its
+  // markers' option counts per family.
   struct ERef {
     const GEdge* e;
     NodeId to;
   };
-  std::vector<std::vector<ERef>> out_edges(pool_->node_count());
-  for (const GEdge& e : gp.edges) out_edges[e.from].push_back({&e, e.to});
+  struct NodeOut {
+    std::vector<ERef> edges;
+    std::size_t non_b = 0;
+  };
+  std::vector<NodeOut> out_edges(pool_->node_count());
+  std::size_t m0_b_count = 0;
+  for (const GEdge& e : gp.edges) {
+    NodeOut& from = out_edges[e.from];
+    from.edges.push_back({&e, e.to});
+    if (!e.b_side) {
+      ++from.non_b;
+    } else if (e.from == m0) {
+      ++m0_b_count;
+    }
+  }
 
   const int v = (kind == IterKind::Star) ? fresh_ev() : -1;
   const EvSetId ev_v_m0 = v >= 0 ? pool_->ev_singleton(v, m0) : kEmptySet;
@@ -488,9 +514,9 @@ Graph GraphBuilder::build_iter(IterKind kind, Graph a, const Graph* b) {
   out.init = m0;  // the singleton marker set {m0} unions to m0 itself
   // Subset constructions emit edges by the thousand; growing the vector a
   // doubling at a time showed up as a top profile entry (each realloc moves
-  // every GEdge), so start at a useful size and grow 4x (capacity is not
-  // observable — budget checks look at size()).
-  out.edges.reserve(std::min(edge_budget_ + 1, std::size_t{1} << 10));
+  // every GEdge), so start at a useful size and grow 4x per wave, never past
+  // the budget, which no wave may cross (capacity is not observable).
+  out.edges.reserve(std::min(edge_budget_, std::size_t{1} << 10));
   // Node ids are pool-dense, so membership is a flat bitmap and the node
   // list is collected unsorted (one sort at the end) — O(1) per target,
   // where a sorted-vector insert would go quadratic on big constructions.
@@ -546,7 +572,7 @@ Graph GraphBuilder::build_iter(IterKind kind, Graph a, const Graph* b) {
     for (std::size_t d = 0; d < k; ++d) {
       auto& opts = s.options[d];
       opts.clear();
-      for (const ERef& e : out_edges[marks[d]]) {
+      for (const ERef& e : out_edges[marks[d]].edges) {
         if (allowed(e)) opts.push_back(&e);
       }
       if (opts.empty()) return true;  // some marker cannot move
@@ -613,6 +639,23 @@ Graph GraphBuilder::build_iter(IterKind kind, Graph a, const Graph* b) {
           marks, s, [](const ERef&) { return true; },
           /*spawn=*/false, /*b_transition=*/false, leaf);
     }
+  };
+
+  // Exact number of edges enumerate_item() emits for `marks` (saturating).
+  auto item_edges = [&](const Marks& marks) -> std::size_t {
+    const bool has_init = std::binary_search(marks.begin(), marks.end(), m0);
+    std::size_t a_side = 1, b_side = 1;
+    for (NodeId n : marks) {
+      const NodeOut& from = out_edges[n];
+      if (!has_init) {
+        a_side = saturating_mul(a_side, from.edges.size());
+      } else {
+        a_side = saturating_mul(a_side, from.non_b);
+        b_side = saturating_mul(b_side, n == m0 ? m0_b_count : from.non_b);
+      }
+    }
+    if (!has_init || kind == IterKind::Infloop) return a_side;
+    return saturating_add(a_side, b_side);
   };
 
   // ---------------------------------------------------------------------
@@ -699,6 +742,8 @@ Graph GraphBuilder::build_iter(IterKind kind, Graph a, const Graph* b) {
         e.evs = spawn_evs_out;
       }
     }
+    // The wave was priced against the edge budget before it started; this
+    // charges the payload bytes the merge above may have interned.
     require_budget(out.edges.size() + 1, "iterator subset construction");
     e.from = from_node;
     e.prop = acc[k - 1].prop;
@@ -721,9 +766,6 @@ Graph GraphBuilder::build_iter(IterKind kind, Graph a, const Graph* b) {
       }
       e.to = basis_of[mid];
       add_node(e.to);
-    }
-    if (out.edges.size() == out.edges.capacity()) {
-      out.edges.reserve(out.edges.capacity() * 4);
     }
     out.edges.push_back(std::move(e));
   };
@@ -757,6 +799,17 @@ Graph GraphBuilder::build_iter(IterKind kind, Graph a, const Graph* b) {
     ++iter_stats_.waves;
     iter_stats_.frontier_sets += frontier.size();
     next_frontier.clear();
+    // Price the whole wave first: one that would cross the edge budget
+    // trips here, before any enumeration or payload merge.  A wave that
+    // fits gets its capacity up front, so emission never reallocates.
+    std::size_t wave_total = out.edges.size();
+    for (const Item& item : frontier) {
+      wave_total = saturating_add(wave_total, item_edges(item.marks));
+    }
+    if (wave_total > edge_budget_) require_budget(wave_total, "iterator subset construction");
+    if (wave_total > out.edges.capacity()) {
+      out.edges.reserve(std::min(std::max(wave_total, out.edges.capacity() * 4), edge_budget_));
+    }
     if (util::usable(par_, frontier.size())) {
       if (plans.size() < frontier.size()) plans.resize(frontier.size());
       util::for_each_index(par_, frontier.size(), [&](std::size_t i) {
@@ -803,6 +856,8 @@ Graph GraphBuilder::build_iter(IterKind kind, Graph a, const Graph* b) {
         enumerate_item(item.marks, fused_scratch, fused_leaf);
       }
     }
+    IL_CHECK(wave_total == SIZE_MAX || out.edges.size() == wave_total,
+             "a subset-construction wave emitted other than its priced edge count");
     frontier.swap(next_frontier);
   }
   std::sort(out.nodes.begin(), out.nodes.end());

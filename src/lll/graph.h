@@ -396,6 +396,11 @@ class GraphBuilder {
   /// edges before anything observes the size.  Exceeding the budget throws
   /// std::invalid_argument, which batch deciders surface per job.  Callers
   /// probing feasibility (e.g. corpus filters) can pass a tighter budget.
+  /// The iterator subset construction counts each wave's edges exactly
+  /// before building it (one edge per choice tuple, so a product of option
+  /// counts), and a wave that would cross the budget throws before it
+  /// enumerates a tuple or merges a payload: a rejected build pays only for
+  /// the waves that fit.
   static constexpr std::size_t kDefaultEdgeBudget = 500000;
 
   /// Companion cap on interned-payload arena bytes (NodePool::payload_bytes):
@@ -457,7 +462,10 @@ class GraphBuilder {
   int fresh_ev() { return next_ev_++; }
 
   /// Throws std::invalid_argument (reporting edges and payload bytes
-  /// against both budgets) when either budget is exceeded.
+  /// against both budgets) when either budget is exceeded.  `edges=` is the
+  /// projected count the caller checked: for the iterator subset
+  /// construction, the total after the wave that would cross the budget,
+  /// which can be far past the budget though none of that wave was built.
   void require_budget(std::size_t projected_edges, const char* stage) const;
 
   Graph build_leaf(const Conj& prop);

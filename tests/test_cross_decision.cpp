@@ -7,6 +7,8 @@
 // through both pipelines as the same symbol ids.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -15,10 +17,13 @@
 #include "lll/encode.h"
 #include "lll/graph.h"
 #include "ltl/formula.h"
+#include "ltl/random.h"
 #include "util/rng.h"
 
 namespace il {
 namespace {
+
+using ltl::random_formula;
 
 /// The LLL translation is the paper's nonelementary construction: a random
 /// corpus must be filtered to the fragment whose graphs stay small, or a
@@ -31,38 +36,6 @@ bool lll_feasible(lll::ExprId e) {
     return true;
   } catch (const std::invalid_argument&) {
     return false;
-  }
-}
-
-/// Seeded random NNF-friendly formula over three atoms.  Sizes are kept
-/// small because the LLL translation of nested untils is the paper's
-/// nonelementary-blowup construction — the corpus must exercise it without
-/// tripping the subset-construction guard.
-ltl::Id random_formula(ltl::Arena& arena, Rng& rng, int depth) {
-  const char* atoms[] = {"p", "q", "r"};
-  if (depth == 0 || rng.chance(0.25)) {
-    const char* name = atoms[rng.below(3)];
-    return rng.chance(0.5) ? arena.atom(name) : arena.neg_atom(name);
-  }
-  switch (rng.below(7)) {
-    case 0:
-      return arena.mk_and(random_formula(arena, rng, depth - 1),
-                          random_formula(arena, rng, depth - 1));
-    case 1:
-      return arena.mk_or(random_formula(arena, rng, depth - 1),
-                         random_formula(arena, rng, depth - 1));
-    case 2:
-      return arena.mk_next(random_formula(arena, rng, depth - 1));
-    case 3:
-      return arena.mk_always(random_formula(arena, rng, depth - 1));
-    case 4:
-      return arena.mk_eventually(random_formula(arena, rng, depth - 1));
-    case 5:
-      return arena.mk_until(random_formula(arena, rng, depth - 1),
-                            random_formula(arena, rng, depth - 1));
-    default:
-      return arena.mk_strong_until(random_formula(arena, rng, depth - 1),
-                                   random_formula(arena, rng, depth - 1));
   }
 }
 
@@ -115,6 +88,66 @@ TEST(CrossDecision, ValidityAgreesThroughNegation) {
     EXPECT_EQ(tableau_valid, !lll_neg_sat) << arena.to_string(f);
   }
   EXPECT_EQ(checked, 20) << "corpus generator starved";
+}
+
+/// Outcome of the corpus filter over a fixed draw sequence: how many
+/// formulas it accepts, their total edge count, and an FNV-1a hash over
+/// every accepted graph's edge fields in construction order.
+struct FilterOutcome {
+  std::size_t accepted = 0;
+  std::size_t edges = 0;
+  std::uint64_t hash = 1469598103934665603ull;
+};
+
+FilterOutcome filter_corpus(std::size_t edge_budget) {
+  ltl::Arena arena;
+  Rng rng(0xF117E5);
+  FilterOutcome out;
+  const auto mix = [&out](std::uint64_t x) {
+    out.hash ^= x;
+    out.hash *= 1099511628211ull;
+  };
+  for (int draw = 0; draw < 2000; ++draw) {
+    const ltl::Id nnf = arena.nnf(random_formula(arena, rng, 3));
+    const lll::ExprId encoded = lll::encode_ltl(arena, nnf);
+    lll::Graph g;
+    try {
+      lll::GraphBuilder probe(edge_budget);
+      g = probe.build(encoded);
+    } catch (const std::invalid_argument&) {
+      continue;
+    }
+    ++out.accepted;
+    out.edges += g.edges.size();
+    mix(g.init);
+    for (const lll::GEdge& e : g.edges) {
+      mix(e.from);
+      mix(e.to);
+      mix(e.prop);
+      mix(e.evs);
+      mix(e.ses);
+      mix(e.rel);
+      mix((e.b_side ? 2u : 0u) | (e.alive ? 1u : 0u));
+    }
+  }
+  return out;
+}
+
+/// Pins the corpus filter (the edge budget as a feasibility probe, as the
+/// end-to-end decide_corpus workload uses it): which formulas pass and the
+/// exact graphs they build.  The budget check is an optimization target, so
+/// these values must not move when it changes where or how early it trips.
+/// They hold on every compiler because random_formula's draw order is fixed.
+TEST(CrossDecision, CorpusFilterAcceptsTheSameGraphs) {
+  const FilterOutcome tight = filter_corpus(300);
+  EXPECT_EQ(tight.accepted, 1294u);
+  EXPECT_EQ(tight.edges, 55007u);
+  EXPECT_EQ(tight.hash, 5454340071571442117ull);
+
+  const FilterOutcome corpus = filter_corpus(5000);
+  EXPECT_EQ(corpus.accepted, 1473u);
+  EXPECT_EQ(corpus.edges, 271001u);
+  EXPECT_EQ(corpus.hash, 9156073379071016021ull);
 }
 
 TEST(CrossDecision, KnownVerdictsSurviveBothPipelines) {

@@ -16,6 +16,7 @@
 #include "lll/encode.h"
 #include "lll/graph.h"
 #include "ltl/formula.h"
+#include "ltl/random.h"
 #include "util/rng.h"
 
 namespace il {
@@ -27,6 +28,7 @@ using lll::kEndNode;
 using lll::NodeId;
 using lll::NodePool;
 using lll::Rel;
+using ltl::random_formula;
 
 // ---------------------------------------------------------------------------
 // NodePool: interning, unions, payload accounting.
@@ -114,6 +116,39 @@ TEST(GraphBudget, EdgeBudgetStillThrowsAndReportsBothCounts) {
   }
 }
 
+/// The edges= figure a budget message reports.
+std::size_t reported_edges(const std::string& msg) {
+  const std::size_t at = msg.find("edges=");
+  EXPECT_NE(at, std::string::npos) << msg;
+  return at == std::string::npos ? 0 : std::stoull(msg.substr(at + 6));
+}
+
+TEST(GraphBudget, OverBudgetWaveTripsBeforeEmittingAnEdge) {
+  // Two iter(*) levels nested in the first argument: the outer subset
+  // construction grows ~18k edges over ten waves, so both budgets below are
+  // crossed by a wave in the middle of the build.
+  lll::ExprId e = lll::concat(lll::lit("dp"), lll::tstar());
+  for (const char* q : {"dq0", "dq1"}) {
+    e = lll::iter_paren(e, lll::concat(lll::lit(q), lll::tstar()));
+  }
+  for (const std::size_t budget : {std::size_t{2000}, std::size_t{5000}}) {
+    GraphBuilder tight(budget);
+    try {
+      tight.build(e);
+      FAIL() << "edge budget " << budget << " did not trip";
+    } catch (const std::invalid_argument& err) {
+      const std::string msg = err.what();
+      EXPECT_NE(msg.find("iterator subset construction"), std::string::npos) << msg;
+      // Each wave is priced before it runs, so the message reports the
+      // wave's projected total, not the first edge past the budget...
+      EXPECT_GT(reported_edges(msg), budget + 1) << msg;
+      // ...and the wave that would cross the budget emits nothing: every
+      // tuple enumerated (inner constructions included) fits the budget.
+      EXPECT_LT(tight.iter_stats().choice_tuples, budget);
+    }
+  }
+}
+
 TEST(GraphBudget, PayloadBytesCatchWhatEdgeCountMisses) {
   // Nested iteration interns marker-set unions and relation payloads well
   // before the edge count is interesting: a byte budget of 16 bytes trips even
@@ -137,37 +172,6 @@ TEST(GraphBudget, PayloadBytesCatchWhatEdgeCountMisses) {
 // ---------------------------------------------------------------------------
 // Differential: dense substrate vs tableau on the PR 3 corpora.
 // ---------------------------------------------------------------------------
-
-/// The seeded random corpus generator of tests/test_cross_decision.cpp —
-/// same shape, same seed, so this suite decides the very corpus PR 3
-/// locked in, now through the dense substrate.
-ltl::Id random_formula(ltl::Arena& arena, Rng& rng, int depth) {
-  const char* atoms[] = {"p", "q", "r"};
-  if (depth == 0 || rng.chance(0.25)) {
-    const char* name = atoms[rng.below(3)];
-    return rng.chance(0.5) ? arena.atom(name) : arena.neg_atom(name);
-  }
-  switch (rng.below(7)) {
-    case 0:
-      return arena.mk_and(random_formula(arena, rng, depth - 1),
-                          random_formula(arena, rng, depth - 1));
-    case 1:
-      return arena.mk_or(random_formula(arena, rng, depth - 1),
-                         random_formula(arena, rng, depth - 1));
-    case 2:
-      return arena.mk_next(random_formula(arena, rng, depth - 1));
-    case 3:
-      return arena.mk_always(random_formula(arena, rng, depth - 1));
-    case 4:
-      return arena.mk_eventually(random_formula(arena, rng, depth - 1));
-    case 5:
-      return arena.mk_until(random_formula(arena, rng, depth - 1),
-                            random_formula(arena, rng, depth - 1));
-    default:
-      return arena.mk_strong_until(random_formula(arena, rng, depth - 1),
-                                   random_formula(arena, rng, depth - 1));
-  }
-}
 
 bool lll_feasible(lll::ExprId e) {
   try {

@@ -246,6 +246,23 @@ TEST(EvalCache, CapacityIsASoftCap) {
   EXPECT_EQ(cache.size(), 10u);
 }
 
+/// The table starts small and doubles on demand, so a cache holding a few
+/// entries (a monitor's windowed settled cache is often this small) costs
+/// a few slots, not a fixed kilo-slot floor.
+TEST(EvalCache, FewEntriesKeepTheTableSmall) {
+  EvalCache cache;
+  EXPECT_EQ(cache.bytes(), 0u);  // allocated on the first store
+  for (std::uint32_t i = 0; i < 8; ++i) {
+    EvalCache::Key k;
+    k.node = i;
+    k.lo = i;
+    cache.store(k, EvalCache::Entry{});
+  }
+  EXPECT_EQ(cache.size(), 8u);
+  EXPECT_GT(cache.bytes(), 0u);
+  EXPECT_LT(cache.bytes(), 4096u);
+}
+
 /// evict_below() sweeps the table in place: entries starting below the
 /// bound are gone, every later one is still findable, the table keeps its
 /// size, and the lifetime counters carry on.  The table is loaded close to

@@ -21,6 +21,7 @@
 #include "lll/encode.h"
 #include "lll/graph.h"
 #include "ltl/formula.h"
+#include "ltl/random.h"
 #include "ltl/tableau.h"
 #include "util/parallel.h"
 #include "util/rng.h"
@@ -29,6 +30,7 @@ namespace il {
 namespace {
 
 using lll::GraphBuilder;
+using ltl::random_formula;
 
 // ---------------------------------------------------------------------------
 // A std::thread-backed ParallelFor with run_claimed()'s contract: every index
@@ -66,36 +68,6 @@ util::ParallelFor thread_fan(std::size_t width) {
 // Corpora: the PR 3 seeded random formulas, the Section 4.5 nesting family,
 // and the two blowup shapes from bench_lll_blowup.
 // ---------------------------------------------------------------------------
-
-/// The seeded corpus generator of tests/test_cross_decision.cpp and
-/// tests/test_graph_substrate.cpp — same shape, same seed.
-ltl::Id random_formula(ltl::Arena& arena, Rng& rng, int depth) {
-  const char* atoms[] = {"p", "q", "r"};
-  if (depth == 0 || rng.chance(0.25)) {
-    const char* name = atoms[rng.below(3)];
-    return rng.chance(0.5) ? arena.atom(name) : arena.neg_atom(name);
-  }
-  switch (rng.below(7)) {
-    case 0:
-      return arena.mk_and(random_formula(arena, rng, depth - 1),
-                          random_formula(arena, rng, depth - 1));
-    case 1:
-      return arena.mk_or(random_formula(arena, rng, depth - 1),
-                         random_formula(arena, rng, depth - 1));
-    case 2:
-      return arena.mk_next(random_formula(arena, rng, depth - 1));
-    case 3:
-      return arena.mk_always(random_formula(arena, rng, depth - 1));
-    case 4:
-      return arena.mk_eventually(random_formula(arena, rng, depth - 1));
-    case 5:
-      return arena.mk_until(random_formula(arena, rng, depth - 1),
-                            random_formula(arena, rng, depth - 1));
-    default:
-      return arena.mk_strong_until(random_formula(arena, rng, depth - 1),
-                                   random_formula(arena, rng, depth - 1));
-  }
-}
 
 bool lll_feasible(lll::ExprId e) {
   try {
@@ -348,33 +320,44 @@ TEST(IntraDecision, EnginePathBitIdenticalUnderInnerAndOuterFanOut) {
 // ---------------------------------------------------------------------------
 // Budget guard: the edge/byte budgets must still trip under a parallel
 // build, reporting both counts — with the same message as the inline build,
-// since emission (where the budget is charged) stays sequential.
+// since waves are priced (where the edge budget is charged) and emitted
+// (where the byte budget is charged) sequentially.
 // ---------------------------------------------------------------------------
 TEST(IntraDecision, BudgetExceptionsSurviveParallelWaves) {
   const util::ParallelFor fan4 = thread_fan(4);
 
   // deep_first_arg(2) builds ~18k edges over ten waves, so a 2000-edge
-  // budget trips while the parallel expansion phase is genuinely active.
+  // budget is crossed by a wave in the middle of the build, after earlier
+  // waves ran the parallel expansion; that wave is priced, and trips,
+  // before its own phase 1 starts.
   const lll::ExprId big = deep_first_arg(2);
+  GraphBuilder serial(/*edge_budget=*/2000);
   std::string serial_msg;
   try {
-    GraphBuilder tight(/*edge_budget=*/2000);
-    tight.build(big);
+    serial.build(big);
     FAIL() << "edge budget did not trip inline";
   } catch (const std::invalid_argument& err) {
     serial_msg = err.what();
   }
+  const std::size_t serial_tuples = serial.iter_stats().choice_tuples;
   EXPECT_NE(serial_msg.find("edges="), std::string::npos) << serial_msg;
   EXPECT_NE(serial_msg.find("payload_bytes="), std::string::npos) << serial_msg;
   EXPECT_NE(serial_msg.find("/2000"), std::string::npos) << serial_msg;
+  // The tripping wave emitted nothing: its projected total is past the
+  // budget, the tuples actually enumerated are not.
+  EXPECT_GT(std::stoull(serial_msg.substr(serial_msg.find("edges=") + 6)), 2000u);
+  EXPECT_LT(serial_tuples, 2000u);
 
-  try {
+  {
     GraphBuilder tight(/*edge_budget=*/2000);
     tight.set_parallel(&fan4);
-    tight.build(big);
-    FAIL() << "edge budget did not trip at width 4";
-  } catch (const std::invalid_argument& err) {
-    EXPECT_EQ(std::string(err.what()), serial_msg);
+    try {
+      tight.build(big);
+      FAIL() << "edge budget did not trip at width 4";
+    } catch (const std::invalid_argument& err) {
+      EXPECT_EQ(std::string(err.what()), serial_msg);
+    }
+    EXPECT_EQ(tight.iter_stats().choice_tuples, serial_tuples);
   }
 
   // The byte budget too, through the engine's intra path: a tiny payload
