@@ -28,19 +28,32 @@
 //                                 iteration moves with the count, and arms
 //                                 whose counts a min_time picked
 //                                 independently would not do the same work.
+//   bench_service_store_window/N  the long-horizon fleet (four
+//                                 suffix-sensitive monitors, two of them
+//                                 intervals at position 0) on a mutex
+//                                 stream: N states untimed, then 128 timed
+//                                 32-state bursts; trace_bytes is the
+//                                 stream store's high-water mark over the
+//                                 timed bursts, which the service trims to
+//                                 the monitors' read floors.
 //
-// CI asserts feed_parked < feed_spawn at 4 threads, and batched (B=32)
-// >= per-state (B=1) states/s at every fleet size, from the emitted JSON
+// CI asserts feed_parked < feed_spawn at 4 threads, batched (B=32)
+// >= per-state (B=1) states/s at every fleet size, and a store flat in the
+// stream's length (store_window trace_bytes at N=1e5 <= 1.25x N=1e3; a
+// deterministic byte count, not a timing), from the emitted JSON
 // (batch_ingest runs UseRealTime(): evaluation happens on pool threads, so
 // only wall-clock states/s measures it):
 // parking the workers is the reason the service can afford an epoch per
 // state, and batching is the reason a state costs less than an epoch.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <functional>
+#include <string>
 #include <vector>
 
+#include "core/ast.h"
 #include "core/monitor.h"
 #include "core/parser.h"
 #include "engine/pool.h"
@@ -191,6 +204,78 @@ void bench_service_batch_ingest(benchmark::State& state) {
   state.counters["batch_max"] = static_cast<double>(service.stats().states_per_batch_max);
 }
 
+Spec single_axiom(const std::string& name, FormulaPtr formula) {
+  Spec spec;
+  spec.name = name;
+  spec.axioms.push_back({"tail", std::move(formula)});
+  return spec;
+}
+
+/// The e2e long_horizon fleet: an interval from a suffix-sensitive event
+/// search (forward or backward) to the end, whose body waits for a state a
+/// passing mutex run never reaches, plus a [] over an interval search and a
+/// pending response.
+std::vector<Spec> long_horizon_specs() {
+  const auto open_tail = [](const std::string& name, bool forward, const std::string& moving,
+                            const std::string& other) {
+    TermPtr search = t::event(f::always(f::negate(f::atom(moving))));
+    TermPtr term = forward ? t::fwd(search, nullptr) : t::bwd(search, nullptr);
+    return single_axiom(
+        name, f::interval(term, f::eventually(f::conj(f::atom(moving), f::atom(other)))));
+  };
+  return {open_tail("relocate", true, "cs1", "cs2"), open_tail("latest", false, "cs2", "cs3"),
+          single_axiom("scan", parse_formula("[] [ x1 <= cs1 ] <> !x2")),
+          single_axiom("pending", parse_formula("[] (x3 -> <> cs3)"))};
+}
+
+constexpr int kStoreBursts = 128;  ///< timed bursts: several trim cycles of the store
+
+/// The stream store of a resident long-horizon fleet, N states in.  Every
+/// feed is enqueued while paused, so each block is max_epoch_batch states
+/// and the floors (and the store) are the same on every run.  The store
+/// grows until its dead prefix is half of it, then drops it, so the
+/// high-water mark over several trims is what is compared across N.
+void bench_service_store_window(benchmark::State& state) {
+  const std::size_t prefix = static_cast<std::size_t>(state.range(0));
+  const std::size_t total = prefix + kBlock * static_cast<std::size_t>(state.max_iterations);
+  sys::MutexRunConfig config;
+  config.seed = 1;
+  config.processes = 3;
+  config.entries = total;
+  config.max_steps = total;
+  const Trace tr = sys::run_mutex(config);
+  engine::Options options;
+  options.num_threads = 2;
+  options.num_shards = 2;
+  options.max_epoch_batch = kBlock;
+  options.queue_capacity = prefix + kBlock;
+  engine::MonitorService service(options);
+  for (const Spec& spec : long_horizon_specs()) service.register_spec(spec);
+  std::size_t k = 0;
+  const auto feed = [&](std::size_t count) {
+    service.pause();
+    for (std::size_t j = 0; j < count; ++j) service.append(tr.at(k++));
+    service.resume();
+    service.flush();
+    return service.drain().size();
+  };
+  feed(prefix);
+  std::size_t peak = 0;
+  std::size_t rows = 0;
+  for (auto _ : state) {
+    rows += feed(kBlock);
+    benchmark::DoNotOptimize(rows);
+    state.PauseTiming();
+    peak = std::max(peak, service.stats().totals.trace_bytes);
+    state.ResumeTiming();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * kBlock));
+  const engine::ServiceStats stats = service.stats();
+  state.counters["trace_bytes"] = static_cast<double>(peak);
+  state.counters["trace_dropped"] = static_cast<double>(stats.trace_dropped);
+  state.counters["states"] = static_cast<double>(k);
+}
+
 }  // namespace
 
 BENCHMARK(bench_service_feed_parked)->Arg(2)->Arg(4);
@@ -208,5 +293,11 @@ BENCHMARK(bench_service_batch_ingest)
     ->Args({10000, 32})
     ->Iterations(kLargeFleetIterations)
     ->UseRealTime();
+BENCHMARK(bench_service_store_window)
+    ->Arg(1000)
+    ->Arg(100000)
+    ->Iterations(kStoreBursts)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 
 BENCHMARK_MAIN();

@@ -23,10 +23,33 @@ IncrementalEvaluator::IncrementalEvaluator(const TraceWindow& trace, ObligationG
   IL_REQUIRE(horizon <= trace.last_index(), "virtual horizon beyond the trace");
 }
 
-bool IncrementalEvaluator::sat_root(const Formula& formula, const Env& env) {
+bool IncrementalEvaluator::sat_root(const Formula& formula, const Env& env, bool* settled) {
   IL_INJECT_FAULT("incremental.expand");
   IL_REQUIRE(!trace_.empty(), "evaluation requires a non-empty trace");
-  return sat_inc(formula, Interval::make(0, Interval::INF), env, kNoOb).value;
+  const Val v = sat_inc(formula, Interval::make(0, Interval::INF), env, kNoOb);
+  if (settled != nullptr) *settled = v.settled;
+  return v.value;
+}
+
+void IncrementalEvaluator::set_floor(ObId self, std::uint64_t floor) {
+  if (self != kNoOb) graph_->at(self).floor = floor;
+}
+
+IncrementalEvaluator::Val IncrementalEvaluator::operand(const Formula& f, std::uint64_t lo,
+                                                        const Env& env, ObId attach, ObId self,
+                                                        unsigned slot) {
+  const Interval iv = Interval::make(lo, Interval::INF);
+  if (self == kNoOb || f.suffix_sensitive()) return sat_inc(f, iv, env, attach);
+  // Closed world, and settled forever: keep the answer in the record, so
+  // no later recomputation re-reads position lo (the settled cache only
+  // keeps positions near the horizon).
+  const std::uint8_t known = static_cast<std::uint8_t>(1u << (2 * slot));
+  const std::uint8_t value = static_cast<std::uint8_t>(2u << (2 * slot));
+  const std::uint8_t kept = graph_->at(self).kept;
+  if ((kept & known) != 0) return {(kept & value) != 0, true};
+  const bool v = delegate_.sat(f, iv, env);
+  graph_->at(self).kept = static_cast<std::uint8_t>(kept | known | (v ? value : 0));
+  return {v, true};
 }
 
 bool IncrementalEvaluator::make_key(std::uint32_t node, ObligationGraph::Op op,
@@ -78,7 +101,7 @@ IncrementalEvaluator::Val IncrementalEvaluator::sat_inc(const Formula& f, Interv
     }
   }
   graph_->note_recompute();
-  graph_->begin_recompute(self);
+  const std::size_t mark = graph_->begin_recompute(self);
   const Val v = sat_compute(f, iv.lo, env, self, self);
   ObligationGraph::Obligation& ob = graph_->at(self);  // re-fetch: recursion reallocates
   ob.result.value = v.value;
@@ -87,6 +110,7 @@ IncrementalEvaluator::Val IncrementalEvaluator::sat_inc(const Formula& f, Interv
   ob.epoch = graph_->epoch();
   ob.horizon = horizon_;
   if (v.settled) graph_->on_settle(self);
+  graph_->end_recompute(mark);
   return v;
 }
 
@@ -120,7 +144,7 @@ IncrementalEvaluator::Found IncrementalEvaluator::find_inc(const Term& t, Interv
     }
   }
   graph_->note_recompute();
-  graph_->begin_recompute(self);
+  const std::size_t mark = graph_->begin_recompute(self);
   const Found found = find_compute(t, ctx.lo, dir, env, self, self);
   ObligationGraph::Obligation& ob = graph_->at(self);
   ob.result.lo = found.iv.lo;
@@ -131,6 +155,7 @@ IncrementalEvaluator::Found IncrementalEvaluator::find_inc(const Term& t, Interv
   ob.epoch = graph_->epoch();
   ob.horizon = horizon_;
   if (found.settled) graph_->on_settle(self);
+  graph_->end_recompute(mark);
   return found;
 }
 
@@ -167,7 +192,7 @@ IncrementalEvaluator::Val IncrementalEvaluator::stars_inc(const Term& t, Interva
     }
   }
   graph_->note_recompute();
-  graph_->begin_recompute(self);
+  const std::size_t mark = graph_->begin_recompute(self);
   const Val v = stars_compute(t, ctx.lo, dir, env, self, self);
   ObligationGraph::Obligation& ob = graph_->at(self);
   ob.result.value = v.value;
@@ -176,6 +201,7 @@ IncrementalEvaluator::Val IncrementalEvaluator::stars_inc(const Term& t, Interva
   ob.epoch = graph_->epoch();
   ob.horizon = horizon_;
   if (v.settled) graph_->on_settle(self);
+  graph_->end_recompute(mark);
   return v;
 }
 
@@ -186,38 +212,47 @@ IncrementalEvaluator::Val IncrementalEvaluator::stars_inc(const Term& t, Interva
 IncrementalEvaluator::Val IncrementalEvaluator::sat_compute(const Formula& f,
                                                             std::uint64_t lo, const Env& env,
                                                             ObId attach, ObId self) {
+  // A composite whose recomputation read every operand reads nothing of
+  // its own: each operand is a child record (with its own floor) or a
+  // closed-world answer the record keeps.  One that short-circuited may
+  // build the skipped operand from scratch later, so its floor stays lo.
   const Interval iv = Interval::make(lo, Interval::INF);
   switch (f.kind()) {
     case Formula::Kind::Not: {
       const Val c = sat_inc(*f.lhs(), iv, env, attach);
+      set_floor(self, ObligationGraph::kNoFloor);
       return {!c.value, c.settled};
     }
     case Formula::Kind::And: {
       // Value matches the scratch short-circuit; a conjunct that settled
       // false pins the conjunction no matter what the other side does.
-      const Val l = sat_inc(*f.lhs(), iv, env, attach);
+      const Val l = operand(*f.lhs(), lo, env, attach, self, 0);
       if (!l.value) return {false, l.settled};
-      const Val r = sat_inc(*f.rhs(), iv, env, attach);
+      const Val r = operand(*f.rhs(), lo, env, attach, self, 1);
+      set_floor(self, ObligationGraph::kNoFloor);
       if (!r.value) return {false, r.settled};
       return {true, l.settled && r.settled};
     }
     case Formula::Kind::Or: {
-      const Val l = sat_inc(*f.lhs(), iv, env, attach);
+      const Val l = operand(*f.lhs(), lo, env, attach, self, 0);
       if (l.value) return {true, l.settled};
-      const Val r = sat_inc(*f.rhs(), iv, env, attach);
+      const Val r = operand(*f.rhs(), lo, env, attach, self, 1);
+      set_floor(self, ObligationGraph::kNoFloor);
       if (r.value) return {true, r.settled};
       return {false, l.settled && r.settled};
     }
     case Formula::Kind::Implies: {
-      const Val l = sat_inc(*f.lhs(), iv, env, attach);
+      const Val l = operand(*f.lhs(), lo, env, attach, self, 0);
       if (!l.value) return {true, l.settled};
-      const Val r = sat_inc(*f.rhs(), iv, env, attach);
+      const Val r = operand(*f.rhs(), lo, env, attach, self, 1);
+      set_floor(self, ObligationGraph::kNoFloor);
       if (r.value) return {true, r.settled};
       return {false, l.settled && r.settled};
     }
     case Formula::Kind::Iff: {
-      const Val l = sat_inc(*f.lhs(), iv, env, attach);
-      const Val r = sat_inc(*f.rhs(), iv, env, attach);
+      const Val l = operand(*f.lhs(), lo, env, attach, self, 0);
+      const Val r = operand(*f.rhs(), lo, env, attach, self, 1);
+      set_floor(self, ObligationGraph::kNoFloor);
       return {l.value == r.value, l.settled && r.settled};
     }
     case Formula::Kind::Always:
@@ -228,15 +263,23 @@ IncrementalEvaluator::Val IncrementalEvaluator::sat_compute(const Formula& f,
       const Val s = stars_inc(*f.term(), iv, Dir::Forward, env, attach);
       if (!s.value) return {false, s.settled};
       const Found fnd = find_inc(*f.term(), iv, Dir::Forward, env, attach);
+      // Only open-ended, suffix-sensitive bodies are obligation-keyed at all
+      // (everything else goes to the settled cache).
+      const bool body_open =
+          !fnd.iv.null && fnd.iv.hi == Interval::INF && f.lhs()->suffix_sensitive();
+      // A star-free, suffix-sensitive term makes the stars check free and
+      // the find a child record; with the body a record too (or absent),
+      // every read goes through children.  A relocated body starts where
+      // the find's future answers start, at or above the find's floor.
+      if (!f.term()->has_star_modifier() && f.term()->suffix_sensitive() &&
+          (fnd.iv.null || body_open)) {
+        set_floor(self, ObligationGraph::kNoFloor);
+      }
       if (self != kNoOb) {
         // Orphan fix: when the find relocates, the body obligation the
         // previous recomputation attached (recorded in aux_lo) is superseded
         // — unlink it now so the record is reclaimed instead of lingering
-        // until a sweep.  Only open-ended, suffix-sensitive bodies are
-        // obligation-keyed at all (everything else went to the settled
-        // cache), so only those are tracked.
-        const bool body_open =
-            !fnd.iv.null && fnd.iv.hi == Interval::INF && f.lhs()->suffix_sensitive();
+        // until a sweep.  Only open bodies are tracked.
         ObligationGraph::Obligation& ob = graph_->at(self);
         if (ob.have_aux && (!body_open || ob.aux_lo != fnd.iv.lo)) {
           ObligationGraph::Key old_key;
@@ -261,6 +304,9 @@ IncrementalEvaluator::Val IncrementalEvaluator::sat_compute(const Formula& f,
       const Val s = stars_inc(*f.term(), iv, Dir::Forward, env, attach);
       if (!s.value) return {false, s.settled};
       const Found fnd = find_inc(*f.term(), iv, Dir::Forward, env, attach);
+      if (!f.term()->has_star_modifier() && f.term()->suffix_sensitive()) {
+        set_floor(self, ObligationGraph::kNoFloor);
+      }
       return {!fnd.iv.null, s.settled && fnd.settled};
     }
     case Formula::Kind::Forall: {
@@ -272,6 +318,7 @@ IncrementalEvaluator::Val IncrementalEvaluator::sat_compute(const Formula& f,
         if (!c.value) return {false, c.settled};
         all_settled = all_settled && c.settled;
       }
+      set_floor(self, ObligationGraph::kNoFloor);
       return {true, all_settled};
     }
     case Formula::Kind::Exists: {
@@ -283,6 +330,7 @@ IncrementalEvaluator::Val IncrementalEvaluator::sat_compute(const Formula& f,
         if (c.value) return {true, c.settled};
         all_settled = all_settled && c.settled;
       }
+      set_floor(self, ObligationGraph::kNoFloor);
       return {false, all_settled};
     }
     case Formula::Kind::Atom:
@@ -345,8 +393,11 @@ IncrementalEvaluator::Val IncrementalEvaluator::always_compute(const Formula& f,
     frontier = k;
   }
   if (self != kNoOb) {
+    // The next recomputation rechecks the open positions and scans on from
+    // the frontier: nothing below them.
     ObligationGraph::Obligation& ob = graph_->at(self);
     ob.frontier = frontier;
+    ob.floor = keep.empty() ? frontier : std::min(frontier, keep.front());
     ob.open_positions = std::move(keep);
   }
   return {value, pinned};
@@ -401,8 +452,11 @@ IncrementalEvaluator::Val IncrementalEvaluator::eventually_compute(const Formula
     frontier = k;
   }
   if (self != kNoOb) {
+    // The next recomputation rechecks the open positions and scans on from
+    // the frontier: nothing below them.
     ObligationGraph::Obligation& ob = graph_->at(self);
     ob.frontier = frontier;
+    ob.floor = keep.empty() ? frontier : std::min(frontier, keep.front());
     ob.open_positions = std::move(keep);
   }
   return {value, pinned};
@@ -428,27 +482,38 @@ IncrementalEvaluator::Found IncrementalEvaluator::find_compute(const Term& t,
       return dir == Dir::Forward ? find_event_fwd(t, lo, env, attach, self)
                                  : find_event_bwd(t, lo, env, attach, self);
 
+    // A composite find that always reads exactly one sensitive child find
+    // over its own open context reads nothing of its own, and its answer
+    // starts at or above where the child's does.
     case Term::Kind::Begin: {
       const Found inner = find_inc(*t.arg(), ctx, dir, env, attach);
+      if (t.arg()->suffix_sensitive()) set_floor(self, ObligationGraph::kNoFloor);
       if (inner.iv.null) return {Interval::none(), inner.settled};
       return {Interval::make(inner.iv.lo, inner.iv.lo), inner.settled};
     }
     case Term::Kind::End: {
       const Found inner = find_inc(*t.arg(), ctx, dir, env, attach);
+      if (t.arg()->suffix_sensitive()) set_floor(self, ObligationGraph::kNoFloor);
       if (inner.iv.null || inner.iv.hi == Interval::INF) {
         return {Interval::none(), inner.settled};
       }
       return {Interval::make(inner.iv.hi, inner.iv.hi), inner.settled};
     }
-    case Term::Kind::Star:
+    case Term::Kind::Star: {
       // The modifier affects requiredness only (stars_compute), not location.
-      return find_inc(*t.arg(), ctx, dir, env, attach);
+      const Found inner = find_inc(*t.arg(), ctx, dir, env, attach);
+      if (t.arg()->suffix_sensitive()) set_floor(self, ObligationGraph::kNoFloor);
+      return inner;
+    }
 
     case Term::Kind::Fwd: {
       Interval mid = ctx;
       bool settled = true;
       if (t.left()) {
         const Found l = find_inc(*t.left(), ctx, dir, env, attach);
+        if (!t.right() && t.left()->suffix_sensitive()) {
+          set_floor(self, ObligationGraph::kNoFloor);
+        }
         if (l.iv.null || l.iv.hi == Interval::INF) return {Interval::none(), l.settled};
         settled = l.settled;
         mid = Interval::make(l.iv.hi, ctx.hi);
@@ -470,6 +535,7 @@ IncrementalEvaluator::Found IncrementalEvaluator::find_compute(const Term& t,
       }
       if (!t.left()) return {mid, settled};
       const Found l = find_inc(*t.left(), mid, Dir::Backward, env, attach);
+      if (!t.right() && t.left()->suffix_sensitive()) set_floor(self, ObligationGraph::kNoFloor);
       settled = settled && l.settled;
       if (l.iv.null || l.iv.hi == Interval::INF) return {Interval::none(), settled};
       return {Interval::make(l.iv.hi, mid.hi), settled};
@@ -522,6 +588,8 @@ IncrementalEvaluator::Found IncrementalEvaluator::find_event_fwd(const Term& t,
       have_prev = ob.have_prev;
       prev_val = ob.prev;
     }
+    // Later scans probe sf - 1 and up, and find their change at or above it.
+    set_floor(self, sf - 1);
     if (sf > h) return {Interval::none(), false};  // settled prefix covers everything
     Val prev = have_prev ? Val{prev_val, true} : probe(defining, sf - 1, env, attach);
     bool all_settled = prev.settled;   // over [first_k-1, k]: the skipped prefix is settled
@@ -547,6 +615,7 @@ IncrementalEvaluator::Found IncrementalEvaluator::find_event_fwd(const Term& t,
     ob.frontier = sf;
     ob.have_prev = have_prev;
     ob.prev = prev_val;
+    ob.floor = sf - 1;
     return found;
   }
 
@@ -581,6 +650,7 @@ IncrementalEvaluator::Found IncrementalEvaluator::find_event_fwd(const Term& t,
     ob.frontier = k;
     ob.have_prev = have_prev;
     ob.prev = prev;
+    ob.floor = k - 1;  // the probe below the frontier, if not rolled yet
   }
   return found;
 }
@@ -647,9 +717,13 @@ IncrementalEvaluator::Found IncrementalEvaluator::find_event_bwd(const Term& t,
     ObligationGraph::Obligation& ob = graph_->at(self);  // re-fetch: probes recurse
     ob.frontier = sb;
     ob.have_aux = !best_prefix.null;
+    // Later scans probe sb - 1 and up; the answer may also fall back to the
+    // remembered prefix edge, so a parent may rebuild its body there.
+    ob.floor = sb - 1;
     if (ob.have_aux) {
       ob.aux_lo = best_prefix.lo;
       ob.aux_hi = best_prefix.hi;
+      ob.floor = std::min(ob.floor, best_prefix.lo);
     }
     return res;
   }
@@ -677,7 +751,13 @@ IncrementalEvaluator::Found IncrementalEvaluator::find_event_bwd(const Term& t,
       if (k == low_bound) break;  // guard size_t underflow
     }
   }
-  if (self != kNoOb) graph_->at(self).scanned_top = h;
+  if (self != kNoOb) {
+    // The next scan starts at the probe below scanned_top + 1; the answer
+    // only ever moves up.
+    ObligationGraph::Obligation& ob = graph_->at(self);
+    ob.scanned_top = h;
+    ob.floor = std::max<std::uint64_t>(h, lo);
+  }
   return {best, false};
 }
 

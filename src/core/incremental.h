@@ -35,6 +35,12 @@
 //       everything else composes child obligations and settles exactly when
 //             the children its value depends on have settled.
 //
+// Every recomputation also leaves a read floor on its record
+// (ObligationGraph::Obligation::floor): the lowest position its next
+// recomputation can read.  A composite that read every operand through a
+// child record (or a closed-world operand answer it keeps) has none of its
+// own, which is what keeps a root at position 0 from pinning the trace.
+//
 // Obligation values are bit-identical to the scratch evaluator at every
 // trace length (the differential suite in tests/test_monitor_incremental.cpp
 // proves it per appended state); settlement is sound but deliberately
@@ -83,8 +89,9 @@ class IncrementalEvaluator {
                        EvalCache* settled_cache, std::uint64_t horizon);
 
   /// Whole-computation satisfaction (s<0,inf> |= formula) at the current
-  /// trace length, re-settling only dirty obligations.
-  bool sat_root(const Formula& formula, const Env& env);
+  /// trace length, re-settling only dirty obligations.  `settled`, if
+  /// given, receives whether the answer is pinned forever.
+  bool sat_root(const Formula& formula, const Env& env, bool* settled = nullptr);
 
  private:
   struct Val {
@@ -126,6 +133,15 @@ class IncrementalEvaluator {
   /// Suffix-insensitive defining formulas go through the settled delegate
   /// (the overwhelmingly common case); sensitive ones recurse open-world.
   Val probe(const Formula& defining, std::uint64_t k, const Env& env, ObId attach);
+
+  /// An operand of a composite record over the record's own <lo, inf>.  A
+  /// suffix-insensitive operand's answer is settled, and is kept in the
+  /// record (Obligation::kept, bit pair `slot`) rather than re-read.
+  Val operand(const Formula& f, std::uint64_t lo, const Env& env, ObId attach, ObId self,
+              unsigned slot);
+  /// Sets `self`'s read floor (ObligationGraph::Obligation::floor); no-op on
+  /// kNoOb.
+  void set_floor(ObId self, std::uint64_t floor);
 
   bool make_key(std::uint32_t node, ObligationGraph::Op op, std::uint64_t lo,
                 const std::vector<std::uint32_t>& metas, const Env& env,

@@ -364,6 +364,7 @@ void ObligationGraph::begin_epoch(std::uint64_t horizon) {
   }
   last_dirtied_ = 0;
   walk_stack_.clear();
+  end_recompute(0);  // only non-empty after a recomputation threw
   // The stabbing query: exactly the open obligations whose sensitivity
   // window [lo, inf) contains the new horizon, in O(log n + touched) node
   // visits.  They seed the dirty closure; everything else is untouched.
@@ -394,10 +395,12 @@ ObligationGraph::ObId ObligationGraph::obtain(const Key& key) {
     Obligation& ob = obligations_[id];
     ob = Obligation{};
     ob.key = key;
+    ob.floor = key.lo;
   } else {
     id = static_cast<ObId>(obligations_.size());
     Obligation ob;
     ob.key = key;
+    ob.floor = key.lo;
     obligations_.push_back(std::move(ob));
     reverse_.emplace_back();
   }
@@ -434,30 +437,43 @@ void ObligationGraph::erase_from(std::vector<ObId>& v, ObId id) {
   }
 }
 
-void ObligationGraph::begin_recompute(ObId self) {
-  if (self == kNoOb) return;
+std::size_t ObligationGraph::begin_recompute(ObId self) {
+  const std::size_t mark = pruned_.size();
+  if (self == kNoOb) return mark;
   Obligation& ob = obligations_[self];
-  if (ob.deps.empty()) return;
-  // Phase 1: compact the dependency list (a settled child can never dirty
-  // this record; the edge is re-added through add_dep if the recomputation
-  // re-reads the child).
-  prune_scratch_.clear();
+  // Until the recomputation says otherwise, it may read anything from its
+  // own lo up (see Obligation::floor).
+  ob.floor = ob.key.lo;
+  if (ob.deps.empty()) return mark;
+  // Compact the dependency list: a settled child can never dirty this
+  // record; the edge is re-added through add_dep if the recomputation
+  // re-reads the child.
   std::size_t w = 0;
   for (const ObId d : ob.deps) {
     if (!obligations_[d].freed && obligations_[d].settled) {
       edge_set_.erase(pack_edge(self, d));
       erase_from(reverse_[d], self);
-      prune_scratch_.push_back(d);
+      pruned_.push_back(d);
+      ++obligations_[d].pruned_pins;
       continue;
     }
     ob.deps[w++] = d;
   }
   ob.deps.resize(w);
-  // Phase 2 (after the list is compacted, so cascades cannot touch it): a
-  // pruned child left with no other parents is unreachable — free it now
-  // instead of waiting for a sweep.  Any record still read from here kept
-  // its edge in phase 1 and therefore has a non-empty reverse list.
-  for (const ObId d : prune_scratch_) maybe_cascade_free(d);
+  return mark;
+}
+
+void ObligationGraph::end_recompute(std::size_t mark) {
+  // A pruned child the recomputation did not read again is unreachable
+  // from here — free it now instead of waiting for a sweep.  One it did
+  // read is kept with its pinned answer, so the recomputation never
+  // rebuilds a settled record from scratch.  LIFO: nested recomputations
+  // close their own marks first.
+  for (std::size_t i = mark; i < pruned_.size(); ++i) {
+    --obligations_[pruned_[i]].pruned_pins;
+    maybe_cascade_free(pruned_[i]);
+  }
+  pruned_.resize(mark);
 }
 
 void ObligationGraph::mark_root(ObId id) {
@@ -508,7 +524,9 @@ void ObligationGraph::free_record(ObId id) {
 void ObligationGraph::maybe_cascade_free(ObId id) {
   if (id == kNoOb) return;
   Obligation& ob = obligations_[id];
-  if (ob.freed || ob.is_root || !reverse_[id].empty()) return;
+  // A child pruned by a recomputation still in flight waits for that
+  // recomputation's end_recompute(), which may read it again.
+  if (ob.freed || ob.is_root || ob.pruned_pins != 0 || !reverse_[id].empty()) return;
   free_record(id);
 }
 
@@ -540,6 +558,7 @@ bool ObligationGraph::maybe_gc() {
 }
 
 std::size_t ObligationGraph::gc_sweep() {
+  end_recompute(0);  // only non-empty after a recomputation threw
   ++gc_sweeps_;
   ++gc_stamp_;
   // Mark: everything a root verdict can still read.  Dependency edges are
@@ -601,6 +620,7 @@ void ObligationGraph::reset() {
   free_pending_.clear();
   stab_out_.clear();
   walk_stack_.clear();
+  pruned_.clear();
   freed_count_ = 0;
   last_gc_live_ = 0;
   last_dirtied_ = 0;
@@ -617,7 +637,7 @@ std::size_t ObligationGraph::bytes() const {
   // Interval-index node pool plus the GC bookkeeping vectors.
   b += tree_.bytes();
   b += (roots_.capacity() + free_list_.capacity() + free_pending_.capacity() +
-        stab_out_.capacity() + walk_stack_.capacity() + prune_scratch_.capacity()) *
+        stab_out_.capacity() + walk_stack_.capacity() + pruned_.capacity()) *
        sizeof(ObId);
   // Hash tables estimated at one node/bucket overhead per entry: exact
   // allocator charges are implementation-specific, but a budget check only
@@ -625,6 +645,16 @@ std::size_t ObligationGraph::bytes() const {
   b += index_.size() * (sizeof(Key) + sizeof(ObId) + 2 * sizeof(void*));
   b += edge_set_.size() * (sizeof(std::uint64_t) + 2 * sizeof(void*));
   return b;
+}
+
+std::uint64_t ObligationGraph::read_floor() const {
+  // Every present open record, reachable or not: an unreachable one can
+  // still be found again by key and resumed from its state.
+  std::uint64_t floor = kNoFloor;
+  for (const Obligation& ob : obligations_) {
+    if (!ob.freed && !ob.settled && ob.floor < floor) floor = ob.floor;
+  }
+  return floor;
 }
 
 std::size_t ObligationGraph::settled_count() const {

@@ -277,8 +277,11 @@ class IntervalIndex {
 ///
 /// Records are reclaimed two ways.  Directly: when an open event find
 /// relocates its interval, the evaluator unlinks the superseded body record
-/// (unlink_superseded), and a record left with no parents and no root mark
-/// is freed on the spot, cascading.  In bulk: a mark-and-sweep pass
+/// (unlink_superseded), a settled child its parent's recomputation no
+/// longer reads is unlinked (begin_recompute / end_recompute), and a record
+/// left with no parents and no root mark is freed on the spot, cascading.
+/// A settled child the recomputation does read again keeps its record, so
+/// its pinned answer is never recomputed from scratch.  In bulk: a mark-and-sweep pass
 /// (gc_sweep) marks everything reachable from the root verdict obligations
 /// — traversing dependency edges through *open* records only, since a
 /// settled record never re-reads its children — and frees the rest:
@@ -288,6 +291,11 @@ class IntervalIndex {
 /// the service budget ladder.  Freed slots are recycled through a free
 /// list, but only from the *next* epoch on, so ObIds held by an in-flight
 /// evaluation stay inert.
+///
+/// Each record also carries a read floor (Obligation::floor), and
+/// read_floor() is their minimum over the open records: the lowest trace
+/// position any later recomputation can read, which is what lets a stream's
+/// owner drop the states below it (core/monitor.h).
 ///
 /// Single-threaded by design: one graph belongs to one monitor over one
 /// trace (a service fleet gets one graph per monitor; see engine/service.h).
@@ -365,6 +373,25 @@ class ObligationGraph {
     /// listed position must be rechecked each epoch; settled positions are
     /// dropped (and a settled-false / settled-true one pins the operator).
     std::vector<std::uint64_t> open_positions;
+    /// Read floor: the lowest trace position the next recomputation can
+    /// read, directly or through a child it builds from scratch.  Set by
+    /// the evaluator: key.lo when a recomputation starts (a from-scratch
+    /// computation reads nothing below its lo), then raised by the kinds
+    /// that know better — [] / <> to their lowest open position or scan
+    /// frontier, event searches to the rolling probe below their frontier
+    /// (which also bounds where their answer can move next, so a parent
+    /// that rebuilds its body at a new location reads at or above it), and
+    /// kNoFloor for a composite whose every read goes through child records
+    /// it keeps (each of which carries its own floor).  Settled records
+    /// read nothing, whatever this says.
+    std::uint64_t floor = 0;
+    /// Answers of settled closed-world children a composite keeps, so a
+    /// recomputation never re-reads their positions (bit 0/1: lhs known /
+    /// value; bit 2/3: rhs known / value).
+    std::uint8_t kept = 0;
+    /// Recomputations in flight that pruned this (settled) record and may
+    /// still read it: it is not freed before the last of them ends.
+    std::uint16_t pruned_pins = 0;
     /// Child obligations read by the last recomputation.  Settled children
     /// are pruned by begin_recompute(); otherwise an over-approximation is
     /// safe for invalidation.
@@ -401,13 +428,19 @@ class ObligationGraph {
   /// dropped — a settled record can never be touched by an epoch again.
   void on_settle(ObId id);
 
-  /// Called by the evaluator as it starts recomputing `self`: drops the
-  /// edges to children that have settled since (a settled child can never
-  /// dirty anyone, and any child this recomputation actually re-reads
-  /// re-registers through add_dep).  This is what bounds the dependency
-  /// lists of long-lived open obligations and detaches exhausted settled
-  /// subtrees for the sweep to collect.  No-op on kNoOb.
-  void begin_recompute(ObId self);
+  /// Called by the evaluator as it starts recomputing `self`: resets the
+  /// record's read floor to its lo and drops the edges to children that
+  /// have settled since (a settled child can never dirty anyone, and any
+  /// child this recomputation actually re-reads re-registers through
+  /// add_dep).  This is what bounds the dependency lists of long-lived open
+  /// obligations and detaches exhausted settled subtrees.  Returns the mark
+  /// to hand to end_recompute().  No-op on kNoOb.
+  std::size_t begin_recompute(ObId self);
+
+  /// Called when the recomputation begun with `mark` returns: frees the
+  /// pruned children it did not read again (and whatever that leaves
+  /// unreachable).  The children it did read keep their settled answers.
+  void end_recompute(std::size_t mark);
 
   /// Marks `id` as queried directly by a verdict: a GC root, never swept.
   void mark_root(ObId id);
@@ -444,6 +477,15 @@ class ObligationGraph {
   /// queried again is simply recomputed from scratch.  Returns the records
   /// freed.  Call at an epoch boundary only.
   std::size_t gc_sweep();
+
+  /// "No floor": a record that reads nothing below its children.
+  static constexpr std::uint64_t kNoFloor = ~0ull;
+
+  /// The lowest trace position any later recomputation can read: the
+  /// minimum read floor (Obligation::floor) over every present open record,
+  /// or kNoFloor when none is open.  O(records); the monitor calls it once
+  /// per settled-cache window, at an epoch boundary.
+  std::uint64_t read_floor() const;
 
   /// Drops every obligation and edge (counters keep accumulating); for
   /// owners whose trace was rewritten rather than appended to.
@@ -522,7 +564,7 @@ class ObligationGraph {
   std::vector<ObId> free_pending_; ///< freed this epoch, reusable next epoch
   std::vector<ObId> stab_out_;     ///< scratch: last stab's seed set
   std::vector<ObId> walk_stack_;   ///< scratch: dirty-closure stack
-  std::vector<ObId> prune_scratch_;  ///< scratch: begin_recompute's pruned set
+  std::vector<ObId> pruned_;       ///< settled children pruned by open recomputations (a stack)
   std::size_t freed_count_ = 0;    ///< free_list_ + free_pending_
   std::uint32_t gc_stamp_ = 0;
   std::size_t last_gc_live_ = 0;   ///< live records after the last sweep

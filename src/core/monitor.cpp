@@ -86,6 +86,7 @@ void Monitor::demote_to_scratch() {
   graph_.reset();
   cache_.release();
   cache_window_id_ = window_.id();
+  window_.set_floor(0);  // the scratch path re-reads the window from its base
 }
 
 CheckResult Monitor::current_scratch() const {
@@ -105,17 +106,18 @@ CheckResult Monitor::current_scratch() const {
 }
 
 void Monitor::sync_incremental_epoch() const {
-  // The window only ever grows (rebasing keeps its content), so the delta
-  // since the last epoch is exactly the states past synced_.
+  // The window only ever grows (a trimmed store keeps its positions), so
+  // the delta since the last epoch is exactly the states past synced_.
   if (window_.size() != synced_) {
     // Epoch boundary: no evaluation in flight, so this is the one safe spot
-    // for an automatic mark-and-sweep (pacing in ObligationGraph::maybe_gc)
-    // and for the settled-cache window.  This epoch's verdicts read
-    // horizons synced_ and up, so entries starting more than kSettledWindow
-    // below synced_ go.
+    // for an automatic mark-and-sweep (pacing in ObligationGraph::maybe_gc),
+    // for the settled-cache window and for the read floor.  This epoch's
+    // verdicts read horizons synced_ and up, so entries starting more than
+    // kSettledWindow below synced_ go.
     graph_.maybe_gc();
     if (synced_ >= swept_ + kSettledWindow) {
       cache_.evict_below(synced_ - kSettledWindow);
+      publish_floor();
       swept_ = synced_;
     }
     // One epoch per verdict refresh (several states between verdicts fold
@@ -136,14 +138,38 @@ void Monitor::reserve(std::size_t states) {
   if (own_ != nullptr) own_->reserve(states);
 }
 
+void Monitor::publish_floor() const {
+  // Every later verdict reads through a kept root answer or an open record,
+  // and each open record reads at or above its own floor.  A record built
+  // without a key (bindings over EvalCache::kMaxEnv) rescans from its lo at
+  // every recomputation, beneath whatever floor its parent promised: such a
+  // monitor keeps its whole window.  The floor stays at or below the last
+  // state judged so far — stuttering reads the window's last state.
+  if (graph_.env_overflows() != 0) return;
+  const std::uint64_t floor = std::min<std::uint64_t>(graph_.read_floor(), synced_ - 1);
+  window_.set_floor(static_cast<std::size_t>(floor));
+}
+
 CheckResult Monitor::verdict_at(std::size_t horizon) const {
   IL_INJECT_FAULT("monitor.verdict");
   IncrementalEvaluator ev(window_, &graph_, &cache_, horizon);
   CheckResult result;
-  for (const Axiom* axiom : spec_.all()) {
-    if (!ev.sat_root(*axiom->formula, env_)) {
+  const std::vector<const Axiom*> axioms = spec_.all();
+  if (root_kept_.size() != axioms.size()) root_kept_.assign(axioms.size(), kRootOpen);
+  for (std::size_t i = 0; i < axioms.size(); ++i) {
+    // A settled axiom verdict is pinned forever: keep it, so no later
+    // verdict re-reads the positions it was judged from.
+    bool ok;
+    if (root_kept_[i] != kRootOpen) {
+      ok = root_kept_[i] != 0;
+    } else {
+      bool settled = false;
+      ok = ev.sat_root(*axioms[i]->formula, env_, &settled);
+      if (settled) root_kept_[i] = ok ? 1 : 0;
+    }
+    if (!ok) {
       result.ok = false;
-      result.failed.push_back(spec_.name + "." + axiom->name);
+      result.failed.push_back(spec_.name + "." + axioms[i]->name);
     }
   }
   return result;

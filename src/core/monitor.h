@@ -48,10 +48,24 @@
 // *stream* monitor (Monitor(spec, env, mode, stream)) holds no states: it
 // reads a trace someone else owns — the MonitorService coordinator's
 // per-stream store — from the stream's end at construction on, so N
-// monitors on one stream cost one stored copy of each state.  The owner appends before it fans the
-// monitors out and may drop the trace's dead prefix between epochs
-// (Trace::drop_front + rebase()); the window keeps its positions, so no
-// cache notices either.
+// monitors on one stream cost one stored copy of each state.  The owner
+// appends before it fans the monitors out.
+//
+// Read floor.  An incremental monitor only ever re-reads the positions its
+// open obligations can still reach, so at the settled-cache cadence (every
+// kSettledWindow positions) it publishes a read floor on its window: the
+// lowest position any later verdict can read — the minimum of its open
+// records' floors (ObligationGraph::read_floor), never past the last state
+// judged.  Settled axiom verdicts are kept by the monitor and settled
+// closed-world operands by their composite records, so neither re-reads an
+// old position.  The stream's owner may drop every state below read_floor()
+// (Trace::drop_front); positions are absolute, so no window or cache
+// notices, and TraceWindow::at throws on any read below the floor.  A
+// Scratch monitor re-reads its whole window, so its floor stays at its base,
+// and demote_to_scratch() lowers the floor back to the base (the service
+// pins every base while a byte budget can demote).  A standalone monitor
+// publishes its floor too, but never drops its own trace: trace() is a
+// whole-trace view.
 //
 // A Monitor is a stateful online object: current(), although const, writes
 // the internal stores, so a single Monitor must be driven from one thread
@@ -121,18 +135,18 @@ class Monitor {
   /// fault site fires once per state.
   void advance(std::size_t count, CheckResult* out);
 
-  /// The stream's owner dropped `dropped` states from the trace's front
-  /// (Trace::drop_front); requires dropped <= base().  Verdicts and caches
-  /// are unaffected.
-  void rebase(std::size_t dropped) { window_.rebase(dropped); }
-
   /// Verdicts for the window so far (provisional; see header comment).
   CheckResult current() const;
 
   /// Number of observed states (the window's size).
   std::size_t states_seen() const { return window_.size(); }
-  /// Trace position of the first observed state.
+  /// Stream position of the first observed state.
   std::size_t base() const { return window_.base(); }
+  /// Stream position of the lowest state any later verdict can read: the
+  /// published read floor (see the header comment), base() until the first
+  /// publication and always in Scratch mode.  The stream's owner may drop
+  /// every state below it.
+  std::size_t read_floor() const { return window_.base() + window_.floor(); }
 
   /// The trace the monitor reads: its own (standalone) or its stream's
   /// store, of which it reads [base(), base() + states_seen()).
@@ -192,18 +206,23 @@ class Monitor {
   CheckResult current_scratch() const;
   CheckResult current_incremental() const;
   void sync_incremental_epoch() const;  ///< fold unseen states into one epoch
+  void publish_floor() const;  ///< the window's read floor, at an epoch boundary
   CheckResult verdict_at(std::size_t horizon) const;  ///< epoch already synced
+
+  static constexpr std::int8_t kRootOpen = -1;
 
   Spec spec_;
   Env env_;
   Mode mode_;
   std::unique_ptr<Trace> own_;  ///< standalone store (heap: stable under moves); null = stream
-  TraceWindow window_;          ///< what this monitor reads
+  mutable TraceWindow window_;  ///< what this monitor reads (and its floor)
   mutable EvalCache cache_;  ///< persists across observe()/current() calls
   mutable std::uint32_t cache_window_id_ = 0;  ///< scratch: window id the cache was filled under
   mutable ObligationGraph graph_;
   mutable std::size_t synced_ = 0;  ///< window size at the last incremental epoch
   mutable std::size_t swept_ = 0;   ///< synced_ at the last settled-cache sweep
+  /// Per axiom: its settled verdict (0/1), or kRootOpen while it can change.
+  mutable std::vector<std::int8_t> root_kept_;
 };
 
 }  // namespace il

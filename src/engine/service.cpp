@@ -288,9 +288,14 @@ void MonitorService::resume() {
 }
 
 std::vector<VerdictRow> MonitorService::drain() {
-  std::lock_guard<std::mutex> lock(out_mu_);
   std::vector<VerdictRow> rows;
+  // Nothing published: return without the lock the coordinator publishes
+  // under.  A row published right after this load is drained by the next
+  // call.
+  if (rows_ready_.load(std::memory_order_acquire) == 0) return rows;
+  std::lock_guard<std::mutex> lock(out_mu_);
   rows.swap(rows_);
+  rows_ready_.store(0, std::memory_order_relaxed);
   return rows;
 }
 
@@ -394,6 +399,7 @@ void MonitorService::apply_barrier(Command& cmd) {
       slot.faults = 1;
     }
     const bool born_quarantined = slot.state == Shard::SlotState::Quarantined;
+    if (!born_quarantined) stores_[slot.stream].readers.push_back(slot.monitor.get());
     std::lock_guard<std::mutex> lock(sh.mu);
     // Ids are minted monotonically and applied in mint order: push_back
     // keeps the vector id-ascending.
@@ -433,6 +439,7 @@ void MonitorService::apply_barrier(Command& cmd) {
             slot.monitor = std::make_unique<Monitor>(slot.spec, slot.env, slot.mode,
                                                      stream_trace(slot.stream));
             slot.monitor->set_gc_fraction(options_.obligation_gc_fraction);
+            stores_[slot.stream].readers.push_back(slot.monitor.get());
             slot.state = Shard::SlotState::Active;
             slot.fault = nullptr;
             slot.degrade = 0;
@@ -476,6 +483,7 @@ void MonitorService::apply_barrier(Command& cmd) {
       if (it->state == Shard::SlotState::Active) {
         // Retiring frees the monitor's obligations and settled-cache
         // entries; the slot stays as a tombstone so ranks/lookups are stable.
+        drop_reader(stream, it->monitor.get());
         release_monitor_locked(sh, static_cast<std::size_t>(it - sh.monitors.begin()));
       } else {
         // Quarantined: stores already freed and counters already folded.
@@ -486,7 +494,8 @@ void MonitorService::apply_barrier(Command& cmd) {
       ++sh.tombstones;
       if (sh.tombstones * 4 > sh.monitors.size()) {
         // Retired fraction exceeds 1/4: sweep the tombstones so a
-        // retire-heavy fleet does not hold dead slots forever.
+        // retire-heavy fleet does not hold dead slots forever.  Reader
+        // lists hold monitors, not slot indices, so the sweep moves none.
         sh.monitors.erase(
             std::remove_if(sh.monitors.begin(), sh.monitors.end(),
                            [](const Shard::Slot& slot) {
@@ -530,40 +539,51 @@ void MonitorService::quarantine_slot_locked(Shard& sh, std::size_t slot_index,
 }
 
 Trace& MonitorService::stream_trace(StreamId stream) {
-  if (stream >= traces_.size()) traces_.resize(stream + 1);
-  if (traces_[stream] == nullptr) traces_[stream] = std::make_unique<Trace>();
-  return *traces_[stream];
+  if (stream >= stores_.size()) stores_.resize(stream + 1);
+  if (stores_[stream].trace == nullptr) stores_[stream].trace = std::make_unique<Trace>();
+  return *stores_[stream].trace;
+}
+
+void MonitorService::drop_reader(StreamId stream, const Monitor* monitor) {
+  std::vector<const Monitor*>& readers = stores_[stream].readers;
+  const auto it = std::find(readers.begin(), readers.end(), monitor);
+  IL_CHECK(it != readers.end(), "a departing monitor was not on its stream's reader list");
+  *it = readers.back();
+  readers.pop_back();
 }
 
 void MonitorService::reclaim_stream(StreamId stream) {
-  if (stream >= traces_.size() || traces_[stream] == nullptr) return;
-  Trace& trace = *traces_[stream];
-  // The oldest resident reader bounds what can still be read: positions
-  // below its base are garbage.  Only the coordinator changes membership
-  // or windows, so the slots are read without the shard locks.
-  std::vector<Monitor*> readers;
-  std::size_t low = trace.size();
-  for (const auto& shp : shards_) {
-    for (Shard::Slot& slot : shp->monitors) {
-      if (slot.state != Shard::SlotState::Active || slot.stream != stream) continue;
-      readers.push_back(slot.monitor.get());
-      low = std::min(low, slot.monitor->base());
-    }
-  }
-  std::size_t bytes = 0;
-  if (readers.empty()) {
-    traces_[stream].reset();  // nobody reads the stream: store nothing
-  } else if (low > 0 && 2 * low >= trace.size()) {
-    // Amortized: the dead prefix is at least half the store, so the move
-    // is paid for by the appends that made it dead.
-    trace.drop_front(low);
-    for (Monitor* m : readers) m->rebase(low);
-    bytes = trace.bytes();
+  if (stream >= stores_.size() || stores_[stream].trace == nullptr) return;
+  StreamStore& store = stores_[stream];
+  Trace& trace = *store.trace;
+  // The oldest-active-reader rule, with a reader's position the lowest one
+  // it can still read.  Under a byte budget any monitor may be demoted to
+  // Scratch, which re-reads its window from the base, so every base pins.
+  // Windows and floors move only inside an epoch's shard tasks, and
+  // membership only on this thread, so between epochs the readers are read
+  // without the shard locks.
+  const bool pin_bases = options_.obligation_byte_budget != 0;
+  std::size_t released = 0;
+  if (store.readers.empty()) {
+    released = trace.size();
+    store.trace.reset();  // nobody reads the stream: store nothing
   } else {
-    return;
+    std::size_t low = trace.dropped() + trace.size();
+    for (const Monitor* m : store.readers) {
+      low = std::min(low, pin_bases ? m->base() : m->read_floor());
+    }
+    // Amortized: drop once the dead prefix is at least half the store, so
+    // the move is paid for by the appends that made it dead.
+    if (low <= trace.dropped()) return;
+    const std::size_t dead = low - trace.dropped();
+    if (2 * dead < trace.size()) return;
+    trace.drop_front(dead);
+    released = dead;
   }
+  const std::size_t bytes = store.trace != nullptr ? store.trace->bytes() : 0;
   std::lock_guard<std::mutex> lock(mu_);
   streams_[stream].trace_bytes = bytes;
+  streams_[stream].trace_dropped += released;
 }
 
 void MonitorService::run_epoch_batch(std::vector<Command>& block) {
@@ -605,7 +625,6 @@ void MonitorService::run_epoch_batch(std::vector<Command>& block) {
     std::size_t si;
   };
   std::vector<Candidate> candidates;
-  std::vector<std::size_t> readers(batch_streams.size(), 0);  ///< Active slots per stream
   for (std::size_t i = 0; i < shards_.size(); ++i) {
     const Shard& sh = *shards_[i];
     for (std::size_t k = 0; k < sh.monitors.size(); ++k) {
@@ -617,7 +636,6 @@ void MonitorService::run_epoch_batch(std::vector<Command>& block) {
       for (std::size_t si = 0; si < batch_streams.size(); ++si) {
         if (batch_streams[si] == slot.stream) {
           candidates.push_back(Candidate{slot.id, i, k, si});
-          if (slot.state == Shard::SlotState::Active) ++readers[si];
           break;
         }
       }
@@ -628,9 +646,12 @@ void MonitorService::run_epoch_batch(std::vector<Command>& block) {
   // shard tasks only read the stores, so the read path takes no lock.  A
   // stream nobody reads stores nothing (a later reader starts at the end
   // anyway).
+  std::vector<char> read(batch_streams.size(), 0);  ///< has an Active reader
   for (std::size_t si = 0; si < batch_streams.size(); ++si) {
-    if (readers[si] == 0) continue;
-    Trace& trace = stream_trace(batch_streams[si]);
+    const StreamId stream = batch_streams[si];
+    read[si] = stream < stores_.size() && !stores_[stream].readers.empty();
+    if (read[si] == 0) continue;
+    Trace& trace = stream_trace(stream);
     for (const std::size_t j : positions[si]) trace.push(std::move(block[j].state));
   }
   std::sort(candidates.begin(), candidates.end(),
@@ -666,7 +687,9 @@ void MonitorService::run_epoch_batch(std::vector<Command>& block) {
     std::exception_ptr fault;
   };
   std::vector<std::vector<FaultMark>> marks(dirty.size());
-  std::vector<char> departed(dirty.size(), 0);  ///< a monitor was quarantined
+  /// Monitors quarantined by each dirty shard's task, by stream: they leave
+  /// their stream's reader list once the fan-out is over.
+  std::vector<std::vector<std::pair<StreamId, const Monitor*>>> departed(dirty.size());
   const auto body = [&](std::size_t k) {
     Shard& sh = *shards_[dirty[k]];
     std::lock_guard<std::mutex> lock(sh.mu);
@@ -713,8 +736,8 @@ void MonitorService::run_epoch_batch(std::vector<Command>& block) {
           // boundary.  Free the stores, park the fault, render the whole
           // failing block Faulted — nobody else notices.
           threw = true;
+          departed[k].emplace_back(slot.stream, slot.monitor.get());
           quarantine_slot_locked(sh, w.slot, std::current_exception());
-          departed[k] = 1;
         }
       }
       if (threw) {
@@ -745,11 +768,11 @@ void MonitorService::run_epoch_batch(std::vector<Command>& block) {
           slot.degrade = 2;
           ++sh.budget_demotions;
         } else {
+          departed[k].emplace_back(slot.stream, slot.monitor.get());
           quarantine_slot_locked(sh, w.slot,
                                  std::make_exception_ptr(std::runtime_error(
                                      "monitor exceeded obligation_byte_budget")));
           ++sh.budget_quarantines;
-          departed[k] = 1;
         }
       }
     }
@@ -780,22 +803,25 @@ void MonitorService::run_epoch_batch(std::vector<Command>& block) {
     }
   }
 
-  // A quarantined monitor's window no longer pins its stream's store.
-  if (std::find(departed.begin(), departed.end(), 1) != departed.end()) {
-    for (const StreamId stream : batch_streams) reclaim_stream(stream);
+  // A quarantined monitor no longer reads its stream; every reader's floor
+  // may have risen.  Trim each store to what its readers can still read.
+  for (const auto& list : departed) {
+    for (const auto& [stream, monitor] : list) drop_reader(stream, monitor);
   }
+  for (const StreamId stream : batch_streams) reclaim_stream(stream);
 
   {
     std::lock_guard<std::mutex> lock(out_mu_);
     rows_.reserve(rows_.size() + rows.size());
     for (VerdictRow& row : rows) rows_.push_back(std::move(row));
+    rows_ready_.store(rows_.size(), std::memory_order_release);
   }
 
   std::lock_guard<std::mutex> lock(mu_);
   for (std::size_t si = 0; si < batch_streams.size(); ++si) {
     const StreamId stream = batch_streams[si];
-    if (readers[si] != 0 && traces_[stream] != nullptr) {
-      streams_[stream].trace_bytes = traces_[stream]->bytes();
+    if (read[si] != 0 && stores_[stream].trace != nullptr) {
+      streams_[stream].trace_bytes = stores_[stream].trace->bytes();
     }
   }
   states_applied_ += nstates;
@@ -933,10 +959,13 @@ ServiceStats MonitorService::stats() const {
     out.queue_depth = queue_.size();
     out.queue_peak = queue_peak_;
     out.stream_trace_bytes.reserve(streams_.size());
+    out.stream_trace_dropped.reserve(streams_.size());
     for (const StreamInfo& stream : streams_) {
       out.states_ingested += static_cast<std::size_t>(stream.next_seq);
       out.stream_trace_bytes.push_back(stream.trace_bytes);
+      out.stream_trace_dropped.push_back(stream.trace_dropped);
       out.totals.trace_bytes += stream.trace_bytes;
+      out.trace_dropped += stream.trace_dropped;
     }
     out.states_applied = static_cast<std::size_t>(states_applied_);
     out.epoch_batches = epoch_batches_;
@@ -999,8 +1028,11 @@ void MonitorService::dump(std::ostream& os) const {
 #undef IL_EMIT_SERVICE
   service.emit("decision_jobs", s.decision_jobs);
   service.emit("trace_bytes", s.totals.trace_bytes);
+  service.emit("trace_dropped", s.trace_dropped);
   for (std::size_t i = 0; i < s.stream_trace_bytes.size(); ++i) {
-    service.scoped("stream" + std::to_string(i)).emit("trace_bytes", s.stream_trace_bytes[i]);
+    KvWriter stream = service.scoped("stream" + std::to_string(i));
+    stream.emit("trace_bytes", s.stream_trace_bytes[i]);
+    stream.emit("trace_dropped", s.stream_trace_dropped[i]);
   }
   for (std::size_t i = 0; i < shards_.size(); ++i) dump_shard(i, os);
 }

@@ -35,12 +35,20 @@
 //   Storage — the coordinator owns one Trace per stream and moves each
 //   Append's state into it once, before the epoch fans out; shard tasks
 //   only read it, without a lock.  The store holds what resident monitors
-//   can still read: a stream with no Active monitor stores nothing, and
-//   when a monitor leaves (retire or quarantine) the prefix below the
-//   oldest remaining reader's window is dropped once it is at least half
-//   the store, so a rolling register/retire pattern never holds more than
-//   one copy of each readable state.  service.trace_bytes (dump()) and
-//   ServiceStats::totals.trace_bytes count the stores once per stream.
+//   can still read: each stream keeps a list of its Active monitors (its
+//   readers; maintained on register, retire, quarantine and reinstate),
+//   and after every batch and every departure the coordinator drops the
+//   prefix below the lowest read floor among them (Monitor::read_floor:
+//   the lowest position any later verdict can read, not where the window
+//   starts) once that prefix is at least half the store — the
+//   oldest-active-reader reclamation rule of multiversion stores.  So a
+//   resident stream's memory is bounded by what its monitors can read, not
+//   by its length.  Under Options::obligation_byte_budget every reader pins
+//   its base instead, because a Scratch demotion re-reads the window from
+//   there.  A stream with no Active monitor stores nothing.
+//   service.trace_bytes (dump()) and ServiceStats::totals.trace_bytes count
+//   the stores once per stream; service.streamN.trace_dropped counts the
+//   states each store has released over its lifetime.
 //
 //   Evaluation — a coordinator thread drains the queue in *batched epochs*:
 //   it greedily folds consecutive queued Appends — any mix of streams, up
@@ -106,6 +114,7 @@
 // poison: they quarantine.
 #pragma once
 
+#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
@@ -260,6 +269,11 @@ struct ServiceStats {
   /// other monitors still read, so the ladder does not count them.
   StreamStats totals;
   std::vector<std::size_t> stream_trace_bytes;  ///< per stream, by StreamId
+  /// States released from the stream stores (trimmed below the readers'
+  /// floors, or dropped with a store nobody reads), lifetime: summed, and
+  /// per stream by StreamId.
+  std::size_t trace_dropped = 0;
+  std::vector<std::size_t> stream_trace_dropped;
 };
 
 class MonitorService {
@@ -378,6 +392,14 @@ class MonitorService {
     std::string name;
     std::uint64_t next_seq = 0;  ///< per-stream FIFO sequence
     std::size_t trace_bytes = 0;  ///< the store's Trace::bytes(), set by the coordinator
+    std::size_t trace_dropped = 0;  ///< states the store released, lifetime
+  };
+  /// One stream's store and its readers.  Coordinator only.
+  struct StreamStore {
+    std::unique_ptr<Trace> trace;  ///< null = nothing stored
+    /// The stream's Active monitors, in no order.  Monitors are heap-held
+    /// by their slots, so tombstone compaction moves none of them.
+    std::vector<const Monitor*> readers;
   };
 
   void coordinator_loop();
@@ -394,21 +416,23 @@ class MonitorService {
                               std::exception_ptr fault);
   /// The stream's store, created empty on first use.  Coordinator only.
   Trace& stream_trace(StreamId stream);
-  /// After a reader left: drops the store of a stream nobody reads, or its
-  /// prefix below the oldest reader's base once that is at least half the
-  /// store (rebasing the readers), and republishes trace_bytes.
-  /// Coordinator only, between epochs.
+  /// Removes a departing monitor from its stream's reader list.
+  void drop_reader(StreamId stream, const Monitor* monitor);
+  /// Drops the store of a stream nobody reads, or its prefix below the
+  /// readers' lowest read floor once that is at least half the store, and
+  /// republishes trace_bytes and trace_dropped.  Coordinator only, between
+  /// epochs.
   void reclaim_stream(StreamId stream);
   StreamStats shard_stats_locked(const Shard& sh) const;  ///< caller holds sh.mu
 
   Options options_;
   std::size_t max_batch_ = 1;  ///< resolved Options::max_epoch_batch
   std::unique_ptr<detail::ParkedPool> pool_;  ///< null = single worker, inline epochs
-  /// One store per stream (by StreamId; null = nothing stored), owned and
-  /// written by the coordinator only.  Heap-held so monitors' windows stay
+  /// One store per stream (by StreamId), owned and written by the
+  /// coordinator only.  The traces are heap-held so monitors' windows stay
   /// valid as the vector grows; declared before shards_ so the stores
   /// outlive their readers.
-  std::vector<std::unique_ptr<Trace>> traces_;
+  std::vector<StreamStore> stores_;
   std::vector<std::unique_ptr<Shard>> shards_;
 
   mutable std::mutex mu_;  ///< queue + lifecycle state
@@ -441,6 +465,9 @@ class MonitorService {
 
   mutable std::mutex out_mu_;
   std::vector<VerdictRow> rows_;
+  /// rows_.size(), published under out_mu_: drain() returns at once,
+  /// without the lock, while it reads 0.
+  std::atomic<std::size_t> rows_ready_{0};
 
   std::thread coordinator_;  ///< last member: joined before the rest dies
 };

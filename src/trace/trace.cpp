@@ -45,6 +45,7 @@ void Trace::drop_front(std::size_t n) {
     for (std::size_t k = 0; k < n; ++k) var_bytes_ -= var_bytes(states_[k]);
   }
   states_.erase(states_.begin(), states_.begin() + static_cast<std::ptrdiff_t>(n));
+  dropped_ += n;
   id_ = next_id();  // positions moved: not an append delta
   ++rewrites_;
 }
@@ -64,18 +65,19 @@ std::size_t Trace::last_index() const {
 }
 
 TraceWindow TraceWindow::at_end(const Trace& trace) {
-  return TraceWindow(trace, trace.size(), Trace::next_id());
+  return TraceWindow(trace, trace.dropped() + trace.size(), Trace::next_id());
 }
 
 void TraceWindow::advance(std::size_t count) {
-  IL_REQUIRE(base_ + size_ + count <= trace_->size(), "window advanced past its trace");
+  IL_REQUIRE(base_ + size_ + count <= trace_->dropped() + trace_->size(),
+             "window advanced past its trace");
   size_ += count;
   id_ = Trace::next_id();
 }
 
-void TraceWindow::rebase(std::size_t dropped) {
-  IL_REQUIRE(dropped <= base_, "trace dropped positions the window still reads");
-  base_ -= dropped;
+void TraceWindow::set_floor(std::size_t floor) {
+  IL_REQUIRE(floor == 0 || floor < size_, "a window's floor cannot pass its last state");
+  floor_ = floor;
 }
 
 std::size_t TraceWindow::last_index() const {

@@ -24,15 +24,23 @@
 // invalidation required).
 //
 // Evaluators do not read a Trace directly: they read a TraceWindow, the
-// positions [base, base + size) of one trace read as a computation of its
-// own.  A Trace converts implicitly to the window over itself, so offline
-// callers never see the distinction.  Online, one trace is the store of one
-// state stream, written once per appended state by its owner (the
-// MonitorService coordinator or a standalone Monitor), and
-// every monitor subscribed to the stream reads it through its own window:
-// the window starts where the monitor joined, grows as the monitor
-// advances, and stutters its *own* last state.  Each state is stored once
-// however many monitors read it.
+// stream positions [base, base + size) of one trace read as a computation
+// of its own.  A Trace converts implicitly to the window over itself, so
+// offline callers never see the distinction.  Online, one trace is the
+// store of one state stream, written once per appended state by its owner
+// (the MonitorService coordinator or a standalone Monitor), and every
+// monitor subscribed to the stream reads it through its own window: the
+// window starts where the monitor joined, grows as the monitor advances,
+// and stutters its *own* last state.  Each state is stored once however
+// many monitors read it.
+//
+// Stream positions are absolute: the owner may drop the store's front once
+// no reader can read it any more (drop_front), and the trace counts the
+// states it has dropped, so a window's base and every position a reader
+// has recorded stay valid without any rebasing.  Each window carries a
+// published *floor*, the lowest window position its reader can still read;
+// at() refuses a read below it, which is what lets the owner trim the store
+// to the lowest floor among its readers.
 #pragma once
 
 #include <cstddef>
@@ -58,6 +66,7 @@ class Trace {
     stable_id_ = id_;
     appends_ = 0;
     rewrites_ = 0;
+    dropped_ = 0;
     var_bytes_stale_ = true;
     return *this;
   }
@@ -107,13 +116,19 @@ class Trace {
     ++appends_;
   }
 
-  /// Drops the first n states: every later position moves down by n.  A
-  /// stream's owner calls this once no reader's window starts below n, then
-  /// rebases the windows (TraceWindow::rebase), which keeps every window's
-  /// content — and so every cache keyed by window position — unchanged.
-  /// For whole-trace consumers it is a rewrite.  Capacity is kept, so the
-  /// store refills without reallocating.
+  /// Drops the first n stored states.  Stream positions do not move: the
+  /// trace counts what it dropped (dropped()), and every window keeps its
+  /// absolute base, so windows and every cache keyed by window position are
+  /// unchanged.  A stream's owner calls this only below the lowest floor of
+  /// the stream's readers (TraceWindow::floor).  For whole-trace consumers,
+  /// which index states() directly, it is a rewrite.  Capacity is kept, so
+  /// the store refills without reallocating.
   void drop_front(std::size_t n);
+
+  /// States dropped from the front over the trace's lifetime: the stream
+  /// position of states()[0].  0 for a trace that never dropped, and for a
+  /// copy.
+  std::size_t dropped() const { return dropped_; }
 
   /// Bytes resident in the state storage: the vector's capacity in State
   /// headers plus every state's variable array (gauge).  O(1) while the
@@ -156,23 +171,32 @@ class Trace {
   std::uint32_t stable_id_ = 0;
   std::uint64_t appends_ = 0;
   std::uint64_t rewrites_ = 0;
+  std::size_t dropped_ = 0;
   // Variable-array bytes, kept by push()/drop_front(); a mutable handout or
   // a copy marks it stale and bytes() recounts.
   mutable std::size_t var_bytes_ = 0;
   mutable bool var_bytes_stale_ = true;
 };
 
-/// Positions [base, base + size) of one Trace, read as a computation of
-/// their own: position k is trace position base + k, and every position at
-/// or past size() stutters the window's last state (Chapter 3's extension
-/// applied to the window, not to the trace — the trace may already hold
-/// states the window's reader has not reached).
+/// Stream positions [base, base + size) of one Trace, read as a
+/// computation of their own: window position k is stream position
+/// base + k, and every position at or past size() stutters the window's
+/// last state (Chapter 3's extension applied to the window, not to the
+/// trace — the trace may already hold states the window's reader has not
+/// reached).  Stream positions are absolute (Trace::dropped), so a window
+/// stays valid when its trace drops states below its floor.
 ///
 /// Identity follows Trace's two-level scheme.  id() keys memoization of
 /// whole-window results and changes on every advance(); stable_id() names
 /// the window's lineage — fresh per at_end(), kept across advance() and
-/// rebase() — and keys results about settled positions, which neither
-/// changes.  The whole-trace window carries the trace's own ids.
+/// across the trace dropping its front — and keys results about settled
+/// positions, which neither changes.  The whole-trace window carries the
+/// trace's own ids.
+///
+/// The floor is the lowest window position the reader can still read,
+/// published by the reader (Monitor) and read by the store's owner, which
+/// may drop every stream position below base() + floor().  at() checks
+/// each read against it.
 ///
 /// A window reads its trace's storage directly: it stays valid while the
 /// trace is appended to, but a reader must not read it concurrently with
@@ -183,6 +207,7 @@ class TraceWindow {
   /// window, and a trace is the window over itself.
   TraceWindow(const Trace& trace)  // NOLINT(google-explicit-constructor)
       : trace_(&trace),
+        base_(trace.dropped()),
         size_(trace.size()),
         id_(trace.id()),
         stable_id_(trace.stable_id()) {}
@@ -196,22 +221,31 @@ class TraceWindow {
   /// takes a fresh id().
   void advance(std::size_t count);
 
-  /// The trace dropped its first `dropped` states (Trace::drop_front); the
-  /// window moves down with them, reading the same states as before.
-  void rebase(std::size_t dropped);
-
   /// State at window position k (stuttering past the window's end).
-  /// Inline: every atom evaluation reads through it.
+  /// Inline: every atom evaluation reads through it.  A read below floor()
+  /// is a broken floor promise and throws std::logic_error: the state may
+  /// already be gone from the store.
   const State& at(std::size_t k) const {
     IL_REQUIRE(size_ != 0, "trace must contain at least one state");
-    return trace_->states()[base_ + (k < size_ ? k : size_ - 1)];
+    IL_CHECK(k >= floor_, "read below the window's published floor");
+    return trace_->states()[base_ + (k < size_ ? k : size_ - 1) - trace_->dropped()];
   }
 
   std::size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
   std::size_t last_index() const;
-  /// Trace position of window position 0.
+  /// Stream position of window position 0.
   std::size_t base() const { return base_; }
+  /// The lowest window position the reader can still read (0 until the
+  /// reader publishes one).
+  std::size_t floor() const { return floor_; }
+  /// Publishes the floor.  Requires floor < size(), or floor == 0: the
+  /// window's last state is always readable, since stuttering reads it.
+  /// The reader may lower its floor again only while the store still
+  /// holds the positions (a Monitor demoted to Scratch re-reads from 0,
+  /// which the service guarantees by pinning every base under a byte
+  /// budget).
+  void set_floor(std::size_t floor);
   std::uint32_t id() const { return id_; }
   std::uint32_t stable_id() const { return stable_id_; }
   const Trace& trace() const { return *trace_; }
@@ -221,8 +255,9 @@ class TraceWindow {
       : trace_(&trace), base_(base), id_(lineage), stable_id_(lineage) {}
 
   const Trace* trace_;
-  std::size_t base_ = 0;
+  std::size_t base_ = 0;   ///< absolute stream position
   std::size_t size_ = 0;
+  std::size_t floor_ = 0;  ///< window position
   std::uint32_t id_ = 0;
   std::uint32_t stable_id_ = 0;
 };

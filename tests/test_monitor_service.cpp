@@ -293,7 +293,9 @@ TEST(MonitorService, GoldenDumpOfFreshService) {
       "service.budget_quarantines 0\n"
       "service.decision_jobs 0\n"
       "service.trace_bytes 0\n"
-      "service.stream0.trace_bytes 0\n";
+      "service.trace_dropped 0\n"
+      "service.stream0.trace_bytes 0\n"
+      "service.stream0.trace_dropped 0\n";
   for (const char* shard : {"shard0", "shard1"}) {
     const std::string p(shard);
     expected += p + ".engine.monitors 0\n";

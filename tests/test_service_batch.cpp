@@ -666,8 +666,10 @@ TEST(ServiceBatch, GeneratedSchedulesMatchStandaloneMonitors) {
       }
     }
 
-    // Every window has closed, so the stream stores nothing.
+    // Every window has closed, so the stream stores nothing, and every
+    // state it stored has been released (trimmed, or dropped with it).
     EXPECT_EQ(service.stats().stream_trace_bytes[stream], 0u) << label;
+    EXPECT_GT(service.stats().stream_trace_dropped[stream], 0u) << label;
     EXPECT_EQ(service.stats().retire_misses, 0u) << label;
   }
 }

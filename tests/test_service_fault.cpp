@@ -396,9 +396,10 @@ TEST(ServiceFault, DecideErrorsDoNotPoisonIngest) {
 
 /// (name, value) of every Lifetime row of the counter tables in one
 /// snapshot: IL_STREAM_COUNTERS for the fleet totals and for each shard,
-/// IL_SHARD_SLOT_COUNTERS / IL_SHARD_BUDGET_COUNTERS for the service.  The
-/// rows come from the tables, so counters added later are covered by the
-/// monotonicity tests below without editing them.  Gauges (resident
+/// IL_SHARD_SLOT_COUNTERS / IL_SHARD_BUDGET_COUNTERS for the service, and
+/// the stream stores' trace_dropped (fleet sum and per stream).  The table
+/// rows come from the tables, so counters added there later are covered by
+/// the monotonicity tests below without editing them.  Gauges (resident
 /// entries, bytes, monitors) legitimately fall when a monitor leaves.
 using CounterRows = std::vector<std::pair<std::string, std::size_t>>;
 
@@ -425,6 +426,11 @@ CounterRows lifetime_rows(const MonitorService& service) {
   IL_SHARD_SLOT_COUNTERS(IL_LIFETIME_ROW)
   IL_SHARD_BUDGET_COUNTERS(IL_LIFETIME_ROW)
 #undef IL_LIFETIME_ROW
+  rows.emplace_back("service.trace_dropped", stats.trace_dropped);
+  for (std::size_t i = 0; i < stats.stream_trace_dropped.size(); ++i) {
+    rows.emplace_back("service.stream" + std::to_string(i) + ".trace_dropped",
+                      stats.stream_trace_dropped[i]);
+  }
   return rows;
 }
 

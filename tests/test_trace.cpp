@@ -203,7 +203,7 @@ TEST(TraceWindow, EveryAdvanceTakesAFreshIdUnderOneLineage) {
   EXPECT_EQ(cache.hits(), 0u);
 }
 
-TEST(TraceWindow, RebasingAfterDropFrontKeepsContentAndIdentity) {
+TEST(TraceWindow, DropFrontKeepsStreamPositionsContentAndIdentity) {
   Trace tr;
   for (std::int64_t x = 0; x < 6; ++x) tr.push(with_x(x));
   TraceWindow early = TraceWindow::at_end(tr);  // base 6
@@ -214,22 +214,59 @@ TEST(TraceWindow, RebasingAfterDropFrontKeepsContentAndIdentity) {
   const std::size_t bytes_before = tr.bytes();
 
   tr.drop_front(4);  // nobody reads positions 0..3
-  early.rebase(4);
+  // Capacity stays; the dropped states' variable arrays are gone.
+  EXPECT_LT(tr.bytes(), bytes_before);
+  EXPECT_GE(tr.bytes(), tr.size() * sizeof(State));
   EXPECT_EQ(tr.size(), 6u);
+  EXPECT_EQ(tr.dropped(), 4u);
   EXPECT_EQ(tr.at(0).get("x"), 4);
-  EXPECT_EQ(early.base(), 2u);
+  // Stream positions are absolute: the window needs no rebasing.
+  EXPECT_EQ(early.base(), 6u);
   EXPECT_EQ(early.size(), 3u);
   for (std::size_t k = 0; k < 5; ++k) {
     EXPECT_EQ(early.at(k).get("x"), static_cast<std::int64_t>(6 + std::min<std::size_t>(k, 2)));
   }
   EXPECT_EQ(early.id(), id);
   EXPECT_EQ(early.stable_id(), lineage);
-  // Capacity stays; the dropped states' variable arrays are gone.
-  EXPECT_LT(tr.bytes(), bytes_before);
-  EXPECT_GE(tr.bytes(), tr.size() * sizeof(State));
-  // The window cannot be rebased below what it reads.
-  EXPECT_THROW(early.rebase(3), std::invalid_argument);
-  EXPECT_THROW(tr.drop_front(7), std::invalid_argument);
+  // A window opened after the drop starts at the stream's end, and a
+  // whole-trace window starts at the first stored state.
+  TraceWindow late = TraceWindow::at_end(tr);
+  EXPECT_EQ(late.base(), 10u);
+  tr.push(with_x(10));
+  late.advance(1);
+  EXPECT_EQ(late.at(0).get("x"), 10);
+  const TraceWindow whole = tr;
+  EXPECT_EQ(whole.base(), 4u);
+  EXPECT_EQ(whole.at(0).get("x"), 4);
+  EXPECT_THROW(tr.drop_front(8), std::invalid_argument);
+  // A copy is a fresh lineage that has dropped nothing.
+  const Trace copy = tr;
+  EXPECT_EQ(copy.dropped(), 0u);
+  EXPECT_EQ(copy.at(0).get("x"), 4);
+}
+
+TEST(TraceWindow, ReadBelowThePublishedFloorThrows) {
+  Trace tr;
+  for (std::int64_t x = 0; x < 8; ++x) tr.push(with_x(x));
+  TraceWindow w = TraceWindow::at_end(tr);
+  for (std::int64_t x = 8; x < 12; ++x) tr.push(with_x(x));
+  w.advance(4);
+  EXPECT_EQ(w.floor(), 0u);
+  w.set_floor(2);
+  EXPECT_EQ(w.floor(), 2u);
+  EXPECT_EQ(w.at(2).get("x"), 10);
+  EXPECT_EQ(w.at(9).get("x"), 11);  // stuttering reads the last state
+  EXPECT_THROW(w.at(1), std::logic_error);
+  EXPECT_THROW(w.at(0), std::logic_error);
+  // The owner may drop everything below the floor; reads at or above it
+  // still find their states.
+  tr.drop_front(10);
+  EXPECT_EQ(w.at(2).get("x"), 10);
+  EXPECT_EQ(w.at(3).get("x"), 11);
+  // The floor never passes the window's last state.
+  EXPECT_THROW(w.set_floor(4), std::invalid_argument);
+  w.set_floor(3);
+  EXPECT_EQ(w.at(3).get("x"), 11);
 }
 
 TEST(Trace, BytesCountsHeadersAndVariableArrays) {
